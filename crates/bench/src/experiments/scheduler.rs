@@ -8,7 +8,7 @@
 //! cost-model pivot ([`chordal_core::adaptive_batch_threshold_edges`]).
 //! This experiment times the same mixed batch — many small graphs plus a
 //! few large ones, the traffic shape the hybrid policy targets — under
-//! every policy on both parallel engines, and reports the pool's
+//! every policy on the pool engine, and reports the pool's
 //! scheduling counters (regions, steals) plus the calibrated per-region
 //! dispatch overhead next to every timing, so placement decisions can be
 //! traced back to the dispatch costs that justify them.
@@ -19,6 +19,7 @@ use crate::workloads::SUITE_SEED;
 use chordal_core::{ExtractionSession, ExtractorConfig};
 use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::CsrGraph;
+use chordal_runtime::Engine;
 
 /// One batch-placement policy of the ablation sweep.
 struct Policy {
@@ -98,7 +99,7 @@ fn mixed_batch(options: &HarnessOptions) -> Vec<CsrGraph> {
     graphs
 }
 
-/// Runs the ablation and returns one point per engine × policy.
+/// Runs the ablation and returns one point per policy.
 pub fn run(options: &HarnessOptions) -> Vec<SchedulerPoint> {
     let load_start = std::time::Instant::now();
     let graphs = mixed_batch(options);
@@ -106,54 +107,52 @@ pub fn run(options: &HarnessOptions) -> Vec<SchedulerPoint> {
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     let threads = options.max_threads.clamp(2, 8);
     let mut points = Vec::new();
-    for engine_kind in super::scaling::EngineKind::all() {
-        for policy in policies() {
-            let mut config = ExtractorConfig::default()
-                .with_engine(engine_kind.build(threads))
-                .with_batch_ewma(policy.ewma)
-                .with_batch_rebalance(policy.rebalance);
-            config = match policy.pivot {
-                Some(threshold) => config.with_batch_threshold_edges(threshold),
-                None => config.with_batch_adaptive(true),
-            };
-            let mut session = ExtractionSession::new(config);
-            // Warm-up grows the workspaces and spawns the pool workers, so
-            // the timed repeats measure the steady serving path.
-            let warm = session.extract_batch(&refs);
-            let chordal_edges: usize = warm.iter().map(|r| r.num_chordal_edges()).sum();
-            let stats_before = chordal_runtime::pool_stats();
-            let feedback_before = session.scheduler_feedback();
-            let mut best = f64::MAX;
-            for _ in 0..options.repeats.max(1) {
-                let start = std::time::Instant::now();
-                let results = session.extract_batch(&refs);
-                best = best.min(start.elapsed().as_secs_f64());
-                assert_eq!(results.len(), refs.len());
-            }
-            let stats = chordal_runtime::pool_stats();
-            let feedback = session.scheduler_feedback();
-            points.push(SchedulerPoint {
-                experiment: "scheduler".to_string(),
-                engine: engine_kind.label().to_string(),
-                threads,
-                policy: policy.label.to_string(),
-                // Read *after* the timed runs: for the EWMA policy this is
-                // the pivot the feedback converged to, not the seed —
-                // that difference is what the frozen comparator exists to
-                // show.
-                threshold_edges: session.effective_batch_threshold(),
-                batch_graphs: graphs.len(),
-                seconds: best,
-                chordal_edges,
-                steals: stats.steals - stats_before.steals,
-                regions: stats.regions - stats_before.regions,
-                region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),
-                ewma_ns_per_edge: feedback.ewma_ns_per_edge,
-                rebalanced: feedback.rebalanced - feedback_before.rebalanced,
-                tickets_dropped: stats.tickets_dropped - stats_before.tickets_dropped,
-                load_ns,
-            });
+    for policy in policies() {
+        let mut config = ExtractorConfig::default()
+            .with_engine(Engine::pool(threads))
+            .with_batch_ewma(policy.ewma)
+            .with_batch_rebalance(policy.rebalance);
+        config = match policy.pivot {
+            Some(threshold) => config.with_batch_threshold_edges(threshold),
+            None => config.with_batch_adaptive(true),
+        };
+        let mut session = ExtractionSession::new(config);
+        // Warm-up grows the workspaces and spawns the pool workers, so
+        // the timed repeats measure the steady serving path.
+        let warm = session.extract_batch(&refs);
+        let chordal_edges: usize = warm.iter().map(|r| r.num_chordal_edges()).sum();
+        let stats_before = chordal_runtime::pool_stats();
+        let feedback_before = session.scheduler_feedback();
+        let mut best = f64::MAX;
+        for _ in 0..options.repeats.max(1) {
+            let start = std::time::Instant::now();
+            let results = session.extract_batch(&refs);
+            best = best.min(start.elapsed().as_secs_f64());
+            assert_eq!(results.len(), refs.len());
         }
+        let stats = chordal_runtime::pool_stats();
+        let feedback = session.scheduler_feedback();
+        points.push(SchedulerPoint {
+            experiment: "scheduler".to_string(),
+            engine: "pool".to_string(),
+            threads,
+            policy: policy.label.to_string(),
+            // Read *after* the timed runs: for the EWMA policy this is
+            // the pivot the feedback converged to, not the seed —
+            // that difference is what the frozen comparator exists to
+            // show.
+            threshold_edges: session.effective_batch_threshold(),
+            batch_graphs: graphs.len(),
+            seconds: best,
+            chordal_edges,
+            steals: stats.steals - stats_before.steals,
+            regions: stats.regions - stats_before.regions,
+            region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),
+            ewma_ns_per_edge: feedback.ewma_ns_per_edge,
+            rebalanced: feedback.rebalanced - feedback_before.rebalanced,
+            tickets_dropped: stats.tickets_dropped - stats_before.tickets_dropped,
+            load_ns,
+        });
     }
     points
 }
@@ -206,40 +205,38 @@ mod tests {
     use chordal_core::adaptive_batch_threshold_edges;
 
     #[test]
-    fn quick_ablation_covers_every_policy_on_both_engines() {
+    fn quick_ablation_covers_every_policy() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        assert_eq!(points.len(), 12, "2 engines x 6 policies");
-        for engine in ["pool", "rayon"] {
-            for policy in [
-                "fan-out",
-                "intra",
-                "static",
-                "static+rb",
-                "adaptive-frozen",
-                "adaptive",
-            ] {
-                let p = points
-                    .iter()
-                    .find(|p| p.engine == engine && p.policy == policy)
-                    .unwrap_or_else(|| panic!("missing {engine}/{policy}"));
-                assert!(p.seconds > 0.0);
-                assert!(p.chordal_edges > 0);
-                assert!(p.region_overhead_ns >= 1);
-                // Self-consistency of the new scheduler fields.
-                assert!(p.ewma_ns_per_edge > 0.0 && p.ewma_ns_per_edge.is_finite());
-                assert!(p.rebalanced <= (p.batch_graphs * options.repeats.max(1)) as u64);
-                // Every point's record round-trips through the JSON layer.
-                let json = p.to_json();
-                assert!(json.contains("\"experiment\":\"scheduler\""));
-                assert!(json.contains("\"ewma_ns_per_edge\":"));
-                assert!(json.contains("\"rebalanced\":"));
-                assert!(json.contains("\"tickets_dropped\":"));
-                assert!(
-                    p.load_ns > 0 && json.contains("\"load_ns\":"),
-                    "workload build time must be recorded"
-                );
-            }
+        assert_eq!(points.len(), 6, "one point per policy");
+        for policy in [
+            "fan-out",
+            "intra",
+            "static",
+            "static+rb",
+            "adaptive-frozen",
+            "adaptive",
+        ] {
+            let p = points
+                .iter()
+                .find(|p| p.policy == policy)
+                .unwrap_or_else(|| panic!("missing {policy}"));
+            assert!(p.seconds > 0.0);
+            assert!(p.chordal_edges > 0);
+            assert!(p.region_overhead_ns >= 1);
+            // Self-consistency of the new scheduler fields.
+            assert!(p.ewma_ns_per_edge > 0.0 && p.ewma_ns_per_edge.is_finite());
+            assert!(p.rebalanced <= (p.batch_graphs * options.repeats.max(1)) as u64);
+            // Every point's record round-trips through the JSON layer.
+            let json = p.to_json();
+            assert!(json.contains("\"experiment\":\"scheduler\""));
+            assert!(json.contains("\"ewma_ns_per_edge\":"));
+            assert!(json.contains("\"rebalanced\":"));
+            assert!(json.contains("\"tickets_dropped\":"));
+            assert!(
+                p.load_ns > 0 && json.contains("\"load_ns\":"),
+                "workload build time must be recorded"
+            );
         }
         // The frozen comparator records no feedback, never rebalances, and
         // therefore reports exactly the seeded pivot even after the runs;

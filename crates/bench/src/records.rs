@@ -18,7 +18,7 @@ pub struct ScalingPoint {
     pub experiment: String,
     /// Graph name (e.g. `"RMAT-B(14)"`).
     pub graph: String,
-    /// Execution engine (`"serial"`, `"pool"`, `"rayon"`).
+    /// Execution engine (`"serial"`, `"pool"`).
     pub engine: String,
     /// Algorithm variant (`"Opt"` / `"Unopt"`).
     pub variant: String,
@@ -65,7 +65,7 @@ impl_to_json!(ScalingPoint {
 pub struct SchedulerPoint {
     /// Experiment id (`"scheduler"`).
     pub experiment: String,
-    /// Execution engine (`"pool"`, `"rayon"`).
+    /// Execution engine (`"pool"`).
     pub engine: String,
     /// Number of worker threads.
     pub threads: usize,
@@ -392,7 +392,7 @@ mod tests {
         let p = ScalingPoint {
             experiment: "figure4".into(),
             graph: "RMAT-ER(10)".into(),
-            engine: "rayon".into(),
+            engine: "pool".into(),
             variant: "Opt".into(),
             threads: 4,
             seconds: 0.125,
@@ -416,7 +416,7 @@ mod tests {
     fn scheduler_point_serialises_to_json() {
         let p = SchedulerPoint {
             experiment: "scheduler".into(),
-            engine: "rayon".into(),
+            engine: "pool".into(),
             threads: 4,
             policy: "adaptive".into(),
             threshold_edges: 2_048,

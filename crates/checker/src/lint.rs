@@ -12,8 +12,8 @@
 //!   files on a checked allowlist (stale entries are themselves errors).
 //! - **R3 thread-primitives** — `thread::spawn`/`Mutex`/`Condvar`/`RwLock`
 //!   stay inside the pool (`crates/compat/rayon`), the serve tier, the
-//!   checker itself, and an explicit allowlist; `#[cfg(test)]` regions and
-//!   `tests/`/bench code are exempt.
+//!   checker itself and the bench/CLI front ends; `#[cfg(test)]` regions and
+//!   `tests/` code are exempt.
 //! - **R4 no-wall-clock** — `Instant::now` is banned in deterministic
 //!   extraction paths (`crates/core`, `crates/graph`, `crates/runtime`,
 //!   `crates/compat/rayon`) outside the EWMA cost model in
@@ -51,7 +51,6 @@ const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/compat/rayon/src/lib.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/workspace.rs",
-    "crates/runtime/src/chunked.rs",
     "crates/runtime/src/flags.rs",
     "crates/runtime/src/lib.rs",
 ];
@@ -64,13 +63,6 @@ const THREAD_ALLOWED_PREFIXES: &[&str] = &[
     "crates/checker/",
     "crates/bench/",
     "crates/cli/",
-];
-
-/// Individual extra files allowed to use threading primitives.
-const THREAD_ALLOWLIST: &[&str] = &[
-    // Collector: a Mutex-protected once-per-run result sink; documented in
-    // crates/runtime/src/collect.rs.
-    "crates/runtime/src/collect.rs",
 ];
 
 /// Deterministic extraction paths: wall-clock reads banned here (R4).
@@ -487,18 +479,14 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
             }
             // R3: threading primitives confined to pool/serve layers.
             "Mutex" | "Condvar" | "RwLock" => {
-                if !test_gated
-                    && !in_tests_dir
-                    && !path_has_prefix(path, THREAD_ALLOWED_PREFIXES)
-                    && !THREAD_ALLOWLIST.contains(&path)
-                {
+                if !test_gated && !in_tests_dir && !path_has_prefix(path, THREAD_ALLOWED_PREFIXES) {
                     diags.push(Diagnostic {
                         file: path.to_string(),
                         line,
                         rule: "thread-primitives",
                         message: format!(
-                            "`{id}` outside compat/rayon, serve, and the allowlist; route \
-                             concurrency through the pool or justify and allowlist this file"
+                            "`{id}` outside the allowed layers; route \
+                             concurrency through the pool"
                         ),
                     });
                 }
@@ -511,7 +499,6 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
                         && !spawn_test_gated
                         && !in_tests_dir
                         && !path_has_prefix(path, THREAD_ALLOWED_PREFIXES)
-                        && !THREAD_ALLOWLIST.contains(&path)
                     {
                         diags.push(Diagnostic {
                             file: path.to_string(),

@@ -6,17 +6,17 @@
 //! chordal generate --kind bio-unt --genes 2000 --out genes.txt
 //! chordal convert  --in graph.txt --out graph.bin [--window-bytes N] [--verify]
 //! chordal extract  --in graph.txt --out chordal.txt [--algorithm alg1|reference|dearing|partitioned]
-//!                  [--threads 8] [--engine pool|rayon|serial] [--variant opt|unopt]
+//!                  [--threads 8] [--engine serial|pool] [--variant opt|unopt]
 //!                  [--semantics async|sync] [--partitions N] [--stats] [--stitch] [--repair]
 //!                  [--repair-strategy incremental|scratch] [--format text|bin|auto]
 //! chordal batch    --in a.txt,b.bin,c.txt [--batch-threshold N | --adaptive]
 //!                  [--ewma|--no-ewma] [--rebalance|--no-rebalance]
-//!                  [--threads 8] [--engine pool|rayon|serial] [--repeat N] [...extract flags]
+//!                  [--threads 8] [--engine serial|pool] [--repeat N] [...extract flags]
 //! chordal analyze  --in graph.txt
 //! chordal verify   --graph graph.txt --subgraph chordal.txt
 //! chordal serve    [--addr 127.0.0.1:0] [--max-sessions N] [--max-inflight N]
 //!                  [--max-queue N] [--default-deadline-ms N] [--drain-timeout-ms N]
-//!                  [--cache-budget-bytes N] [--engine pool|rayon|serial] [--threads N]
+//!                  [--cache-budget-bytes N] [--engine serial|pool] [--threads N]
 //! ```
 //!
 //! Every graph-loading path accepts either a plain-text edge list or the
@@ -105,7 +105,7 @@ fn print_usage() {
          \x20          [--scale N] [--genes N] [--seed N] --out FILE\n\
          \x20 convert  --in FILE --out FILE [--window-bytes N] [--verify]\n\
          \x20 extract  --in FILE [--out FILE] [--algorithm alg1|reference|dearing|partitioned]\n\
-         \x20          [--threads N] [--engine serial|pool|rayon] [--variant opt|unopt]\n\
+         \x20          [--threads N] [--engine serial|pool] [--variant opt|unopt]\n\
          \x20          [--semantics async|sync] [--partitions N] [--stats] [--stitch]\n\
          \x20          [--repair] [--repair-strategy incremental|scratch]\n\
          \x20 batch    --in FILE[,FILE...] [--batch-threshold EDGES | --adaptive]\n\
@@ -115,7 +115,7 @@ fn print_usage() {
          \x20 verify   --graph FILE --subgraph FILE [--maximality N]\n\
          \x20 serve    [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]\n\
          \x20          [--max-queue N] [--default-deadline-ms N] [--drain-timeout-ms N]\n\
-         \x20          [--cache-budget-bytes N] [--engine serial|pool|rayon] [--threads N]\n\
+         \x20          [--cache-budget-bytes N] [--engine serial|pool] [--threads N]\n\
          \x20 help\n\
          \n\
          graph inputs may be text edge lists or binary CSR files (`convert`\n\
@@ -324,7 +324,7 @@ fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
         .with_batch_ewma(!flags.contains_key("no-ewma"))
         .with_batch_rebalance(!flags.contains_key("no-rebalance"))
         .with_engine_name(
-            flags.get("engine").map(String::as_str).unwrap_or("rayon"),
+            flags.get("engine").map(String::as_str).unwrap_or("pool"),
             threads,
         )
 }

@@ -4,9 +4,8 @@
 //! The build environment has no access to crates.io, so this crate provides
 //! drop-in implementations of the combinators the workspace calls —
 //! `into_par_iter` on ranges, `par_iter`/`par_iter_mut`/`par_chunks`/
-//! `par_chunks_mut`/`par_sort_unstable` on slices, `map`/`flat_map_iter`/
-//! `for_each`/`collect`/`sum`/`max`, and `ThreadPool`/`ThreadPoolBuilder`
-//! with `install`.
+//! `par_chunks_mut`/`par_sort_unstable` on slices, and
+//! `map`/`flat_map_iter`/`for_each`/`collect`/`sum`/`max`.
 //!
 //! All parallel work runs on one **lazily-spawned persistent worker pool**
 //! (see [`mod@pool`]): parallel regions publish work tickets to lock-free
@@ -19,10 +18,10 @@
 //! ([`slots::ChunkSlots`]) instead of a mutex-guarded vector, so neither
 //! ticket dispatch nor result collection takes a lock on the region hot
 //! path. The pool is sized by the `CHORDAL_POOL_THREADS` environment
-//! variable (default: all logical CPUs); [`ThreadPool::install`] bounds
-//! the parallelism of the regions it scopes without creating threads of
-//! its own. `par_sort_unstable` is a genuinely parallel merge sort
-//! (parallel chunk sorts + parallel merge passes).
+//! variable (default: all logical CPUs), and the parallel iterators use all
+//! of it; [`run_pooled_region`] takes an explicit participant bound.
+//! `par_sort_unstable` is a genuinely parallel merge sort (parallel chunk
+//! sorts + parallel merge passes).
 //!
 //! Extensions beyond the real rayon API, used by `chordal-runtime` and the
 //! test-suite: [`run_pooled_region`], [`pool_size`],
@@ -37,28 +36,12 @@ mod sort;
 pub use pool::PoolStats;
 
 use slots::{ChunkSlots, ItemSlots};
-use std::cell::Cell;
-use std::fmt;
 use std::ops::Range;
 
-thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`];
-    /// 0 means "not inside a pool, use the shared pool's size".
-    static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn available_threads() -> usize {
-    pool::configured_size()
-}
-
-/// Number of worker threads parallel operations on this thread should use.
+/// Number of worker threads parallel operations use: the size of the
+/// shared pool.
 pub fn current_num_threads() -> usize {
-    let installed = INSTALLED_THREADS.with(Cell::get);
-    if installed == 0 {
-        available_threads()
-    } else {
-        installed
-    }
+    pool::configured_size()
 }
 
 /// Runs `f` over `grain`-sized chunks of `0..len` on the shared persistent
@@ -68,8 +51,8 @@ pub fn current_num_threads() -> usize {
 /// thread once in-flight chunks retire.
 ///
 /// This is an extension beyond the real rayon API: it is the primitive the
-/// `chordal-runtime` chunked engine schedules through, so that *every*
-/// engine in the workspace reuses the same persistent workers.
+/// `chordal-runtime` pool engine schedules through, so that the engine and
+/// the parallel iterators reuse the same persistent workers.
 pub fn run_pooled_region<F>(len: usize, grain: usize, parallelism: usize, f: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -138,93 +121,6 @@ pub fn pool_idle_workers() -> usize {
 /// behalf are not included).
 pub fn pool_regions_submitted_locally() -> u64 {
     pool::local_regions_submitted()
-}
-
-// ---------------------------------------------------------------------------
-// Thread pool
-// ---------------------------------------------------------------------------
-
-/// Error returned when a pool cannot be constructed.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "failed to build thread pool")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// Creates a builder with the default (all cores) configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the number of worker threads (0 = all available cores).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
-        self
-    }
-
-    /// Accepted for API compatibility; all work runs on the shared
-    /// persistent pool (whose threads are named at spawn), so the name
-    /// function is not retained.
-    pub fn thread_name<F>(self, _f: F) -> Self
-    where
-        F: FnMut(usize) -> String,
-    {
-        self
-    }
-
-    /// Builds the pool.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = if self.num_threads == 0 {
-            available_threads()
-        } else {
-            self.num_threads
-        };
-        Ok(ThreadPool { threads })
-    }
-}
-
-/// A lightweight stand-in for `rayon::ThreadPool`: it records the requested
-/// parallelism and scopes it over [`ThreadPool::install`]; the work itself
-/// runs on the shared persistent pool, capped at this pool's thread count.
-#[derive(Debug)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `op` with this pool's thread count installed for any parallel
-    /// iterators it invokes.
-    pub fn install<OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce() -> R,
-    {
-        let previous = INSTALLED_THREADS.with(|c| c.replace(self.threads));
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                INSTALLED_THREADS.with(|c| c.set(self.0));
-            }
-        }
-        let _restore = Restore(previous);
-        op()
-    }
-
-    /// Number of worker threads this pool uses.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -778,21 +674,26 @@ mod tests {
         assert_eq!(dst[33], 99.0);
     }
 
-    #[test]
-    fn pool_install_scopes_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        assert_eq!(pool.current_num_threads(), 3);
-        pool.install(|| {
-            assert_eq!(current_num_threads(), 3);
+    /// Sums `f` over `0..len` in one pooled region of at most
+    /// `parallelism` participants claiming `grain` indices at a time.
+    fn region_sum(
+        len: usize,
+        grain: usize,
+        parallelism: usize,
+        f: impl Fn(usize) -> usize + Sync,
+    ) -> usize {
+        let total = AtomicUsize::new(0);
+        run_pooled_region(len, grain, parallelism, |range| {
+            let part: usize = range.map(&f).sum();
+            total.fetch_add(part, Ordering::Relaxed);
         });
-        assert_ne!(current_num_threads(), 0);
+        total.into_inner()
     }
 
     #[test]
     fn regions_reuse_pool_workers_instead_of_spawning() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         // Warm-up: the first region spawns the persistent workers.
-        pool.install(|| (0..1_000).into_par_iter().for_each(|_| {}));
+        run_pooled_region(1_000, 16, 4, |_| {});
         let after_warmup = pool_spawned_threads();
         assert_eq!(
             after_warmup,
@@ -800,10 +701,8 @@ mod tests {
             "warm-up must spawn exactly the configured pool"
         );
         for round in 0..64 {
-            pool.install(|| {
-                let sum: usize = (0..10_000).into_par_iter().map(|i| i).sum();
-                assert_eq!(sum, 49_995_000, "round {round}");
-            });
+            let sum = region_sum(10_000, 64, 4, |i| i);
+            assert_eq!(sum, 49_995_000, "round {round}");
         }
         assert_eq!(
             pool_spawned_threads(),
@@ -814,14 +713,11 @@ mod tests {
 
     #[test]
     fn region_bodies_run_only_on_pool_workers_or_the_caller() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let seen: Mutex<std::collections::HashSet<std::thread::ThreadId>> =
             Mutex::new(std::collections::HashSet::new());
         for _ in 0..32 {
-            pool.install(|| {
-                (0..2_000).into_par_iter().for_each(|_| {
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                });
+            run_pooled_region(2_000, 16, 4, |_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
             });
         }
         let distinct = seen.lock().unwrap().len();
@@ -834,14 +730,13 @@ mod tests {
 
     #[test]
     fn panics_propagate_to_the_submitting_thread() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let outcome = std::panic::catch_unwind(|| {
-            pool.install(|| {
-                (0..1_000).into_par_iter().for_each(|i| {
+            run_pooled_region(1_000, 8, 4, |range| {
+                for i in range {
                     if i == 371 {
                         panic!("boom at {i}");
                     }
-                });
+                }
             });
         });
         let payload = outcome.expect_err("worker panic must reach the caller");
@@ -851,26 +746,19 @@ mod tests {
             .unwrap_or_default();
         assert!(message.contains("boom at 371"), "payload: {message}");
         // The pool survives a panicked region and keeps executing work.
-        pool.install(|| {
-            let sum: usize = (0..100).into_par_iter().map(|i| i).sum();
-            assert_eq!(sum, 4_950);
-        });
+        assert_eq!(region_sum(100, 8, 4, |i| i), 4_950);
     }
 
     #[test]
     fn nested_regions_complete_and_agree_with_serial() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let totals: Vec<usize> = pool.install(|| {
-            (0..8usize)
-                .into_par_iter()
-                .map(|i| {
-                    (0..1_000usize)
-                        .into_par_iter()
-                        .map(|j| i * j)
-                        .sum::<usize>()
-                })
-                .collect()
+        let totals: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+        run_pooled_region(8, 1, 4, |outer| {
+            for i in outer {
+                let inner = region_sum(1_000, 16, 4, |j| i * j);
+                totals[i].store(inner, Ordering::Relaxed);
+            }
         });
+        let totals: Vec<usize> = totals.into_iter().map(AtomicUsize::into_inner).collect();
         let expected: Vec<usize> = (0..8usize)
             .map(|i| (0..1_000usize).map(|j| i * j).sum())
             .collect();
@@ -881,22 +769,8 @@ mod tests {
     fn deeply_nested_regions_do_not_deadlock_on_a_small_pool() {
         // Three levels of nesting: every waiting thread must keep helping
         // on the ticket queues, or a one-worker pool would deadlock here.
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let total: usize = pool.install(|| {
-            (0..4usize)
-                .into_par_iter()
-                .map(|a| {
-                    (0..4usize)
-                        .into_par_iter()
-                        .map(|b| {
-                            (0..64usize)
-                                .into_par_iter()
-                                .map(|c| a ^ b ^ c)
-                                .sum::<usize>()
-                        })
-                        .sum::<usize>()
-                })
-                .sum()
+        let total = region_sum(4, 1, 2, |a| {
+            region_sum(4, 1, 2, |b| region_sum(64, 8, 2, |c| a ^ b ^ c))
         });
         let expected: usize = (0..4usize)
             .map(|a| {

@@ -109,7 +109,7 @@ pub const DEFAULT_BATCH_THRESHOLD_EDGES: usize = 32_768;
 pub struct ExtractorConfig {
     /// Which algorithm of the registry to run.
     pub algorithm: Algorithm,
-    /// Execution engine (serial, chunked pool, rayon).
+    /// Execution engine (serial or pool).
     pub engine: Engine,
     /// Opt (sorted) or Unopt (unsorted) adjacency handling.
     pub adjacency: AdjacencyMode,
@@ -180,7 +180,7 @@ impl Default for ExtractorConfig {
     fn default() -> Self {
         Self {
             algorithm: Algorithm::Parallel,
-            engine: Engine::rayon(chordal_runtime::available_threads()),
+            engine: Engine::pool(chordal_runtime::available_threads()),
             adjacency: AdjacencyMode::Sorted,
             semantics: Semantics::Asynchronous,
             record_stats: false,
@@ -200,22 +200,10 @@ impl ExtractorConfig {
     /// A serial configuration with the given adjacency mode (asynchronous
     /// semantics; deterministic because the engine is serial).
     pub fn serial(adjacency: AdjacencyMode) -> Self {
-        // Built field by field: `..Self::default()` would construct the
-        // default rayon engine (a whole thread pool) only to discard it.
         Self {
-            algorithm: Algorithm::Parallel,
             engine: Engine::serial(),
             adjacency,
-            semantics: Semantics::Asynchronous,
-            record_stats: false,
-            partitions: 0,
-            partition_strategy: PartitionStrategy::Blocks,
-            repair: false,
-            repair_strategy: RepairStrategy::default(),
-            batch_threshold_edges: DEFAULT_BATCH_THRESHOLD_EDGES,
-            batch_adaptive: false,
-            batch_ewma: true,
-            batch_rebalance: true,
+            ..Self::default()
         }
     }
 
@@ -232,7 +220,7 @@ impl ExtractorConfig {
     }
 
     /// Builder-style: resolves and replaces the engine by name
-    /// ("serial"/"pool"/"rayon") and thread count.
+    /// ("serial"/"pool") and thread count.
     pub fn with_engine_name(mut self, name: &str, threads: usize) -> Result<Self, ExtractError> {
         self.engine = Engine::by_name(name, threads)
             .ok_or_else(|| ExtractError::UnknownEngine(name.to_string()))?;
@@ -359,7 +347,7 @@ mod tests {
             .with_stats(true)
             .with_semantics(Semantics::Asynchronous)
             .with_adjacency(AdjacencyMode::Sorted)
-            .with_engine(Engine::chunked(2))
+            .with_engine(Engine::pool(2))
             .with_algorithm(Algorithm::Dearing)
             .with_partitions(6, PartitionStrategy::RoundRobin)
             .with_repair(true)
@@ -404,8 +392,11 @@ mod tests {
             .unwrap();
         assert_eq!(c.engine.name(), "pool");
         assert_eq!(c.engine.threads(), 3);
-        assert!(ExtractorConfig::default()
-            .with_engine_name("gpu", 1)
-            .is_err());
+        for removed in ["gpu", "rayon", "chunked"] {
+            assert!(matches!(
+                ExtractorConfig::default().with_engine_name(removed, 1),
+                Err(ExtractError::UnknownEngine(name)) if name == removed
+            ));
+        }
     }
 }

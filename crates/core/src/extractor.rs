@@ -240,7 +240,7 @@ mod tests {
         use crate::config::Semantics;
         let serial = ExtractorConfig::default().with_engine(chordal_runtime::Engine::serial());
         let parallel_async = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(4))
+            .with_engine(chordal_runtime::Engine::pool(4))
             .with_semantics(Semantics::Asynchronous);
         let parallel_sync = parallel_async
             .clone()

@@ -620,7 +620,7 @@ mod tests {
         // Synchronous semantics: deterministic, so serial and fanned-out
         // batches must agree exactly.
         let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(3))
+            .with_engine(chordal_runtime::Engine::pool(3))
             .with_semantics(Semantics::Synchronous);
         let mut parallel_session = ExtractionSession::new(config.clone());
         let batch = parallel_session.extract_batch(&refs);
@@ -667,7 +667,7 @@ mod tests {
             .collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(3))
+            .with_engine(chordal_runtime::Engine::pool(3))
             .with_semantics(Semantics::Synchronous)
             .with_batch_threshold_edges(2_000);
         assert!(graphs.iter().any(|g| g.num_edges() >= 2_000));
@@ -689,7 +689,7 @@ mod tests {
         // Rebalancing off: "pure" policies must not take the promotion
         // path, or they would not be the pure placements they claim.
         let base = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::chunked(3))
+            .with_engine(chordal_runtime::Engine::pool(3))
             .with_semantics(Semantics::Synchronous)
             .with_batch_rebalance(false);
         // Pure fan-out and pure intra-graph scheduling agree slot for slot
@@ -711,7 +711,7 @@ mod tests {
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let mut session = ExtractionSession::new(
             ExtractorConfig::default()
-                .with_engine(chordal_runtime::Engine::rayon(2))
+                .with_engine(chordal_runtime::Engine::pool(2))
                 .with_batch_threshold_edges(0),
         );
         let first = session.extract_batch(&refs);
@@ -770,7 +770,7 @@ mod tests {
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let mut session = ExtractionSession::new(
             ExtractorConfig::default()
-                .with_engine(chordal_runtime::Engine::rayon(3))
+                .with_engine(chordal_runtime::Engine::pool(3))
                 .with_batch_adaptive(true),
         );
         let seeded = session.scheduler_feedback();
@@ -812,7 +812,7 @@ mod tests {
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let mut session = ExtractionSession::new(
             ExtractorConfig::default()
-                .with_engine(chordal_runtime::Engine::rayon(3))
+                .with_engine(chordal_runtime::Engine::pool(3))
                 .with_batch_adaptive(true)
                 .with_batch_ewma(false),
         );
@@ -834,7 +834,7 @@ mod tests {
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let mut session = ExtractionSession::new(
             ExtractorConfig::default()
-                .with_engine(chordal_runtime::Engine::rayon(3))
+                .with_engine(chordal_runtime::Engine::pool(3))
                 .with_batch_threshold_edges(usize::MAX)
                 .with_batch_rebalance(false),
         );
@@ -863,7 +863,7 @@ mod tests {
     fn adaptive_sessions_report_the_calibrated_pivot() {
         let session = ExtractionSession::new(
             ExtractorConfig::default()
-                .with_engine(chordal_runtime::Engine::rayon(3))
+                .with_engine(chordal_runtime::Engine::pool(3))
                 .with_batch_threshold_edges(777)
                 .with_batch_adaptive(true),
         );
@@ -874,7 +874,7 @@ mod tests {
         );
         let static_session = ExtractionSession::new(
             ExtractorConfig::default()
-                .with_engine(chordal_runtime::Engine::rayon(3))
+                .with_engine(chordal_runtime::Engine::pool(3))
                 .with_batch_threshold_edges(777),
         );
         assert_eq!(static_session.effective_batch_threshold(), 777);
@@ -894,7 +894,7 @@ mod tests {
             .collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let base = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(3))
+            .with_engine(chordal_runtime::Engine::pool(3))
             .with_semantics(Semantics::Synchronous);
         let adaptive =
             ExtractionSession::new(base.clone().with_batch_adaptive(true)).extract_batch(&refs);
@@ -921,7 +921,7 @@ mod tests {
         let mut session = ExtractionSession::new(
             ExtractorConfig::default()
                 .with_algorithm(Algorithm::Dearing)
-                .with_engine(chordal_runtime::Engine::chunked(4)),
+                .with_engine(chordal_runtime::Engine::pool(4)),
         );
         let batch = session.extract_batch(&refs);
         for (graph, result) in graphs.iter().zip(&batch) {

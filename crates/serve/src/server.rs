@@ -105,7 +105,7 @@ impl Default for ServeConfig {
             default_deadline_ms: 0,
             drain_timeout_ms: 5_000,
             cache_budget_bytes: 256 << 20,
-            default_engine: "rayon".to_string(),
+            default_engine: "pool".to_string(),
             default_threads: chordal_runtime::available_threads(),
             test_hooks: false,
         }

@@ -124,13 +124,8 @@ fn main() {
                 }
             };
             time_batch(
-                &format!("rayon x{threads} {policy}"),
-                configure(ExtractorConfig::default().with_engine(Engine::rayon(threads))),
-                &refs,
-            );
-            time_batch(
                 &format!("pool x{threads} {policy}"),
-                configure(ExtractorConfig::default().with_engine(Engine::chunked(threads))),
+                configure(ExtractorConfig::default().with_engine(Engine::pool(threads))),
                 &refs,
             );
         }
@@ -156,13 +151,8 @@ fn main() {
     );
     for threads in [2, 4, 8] {
         time_single(
-            &format!("single rayon x{threads}"),
-            ExtractorConfig::default().with_engine(Engine::rayon(threads)),
-            &large,
-        );
-        time_single(
             &format!("single pool x{threads}"),
-            ExtractorConfig::default().with_engine(Engine::chunked(threads)),
+            ExtractorConfig::default().with_engine(Engine::pool(threads)),
             &large,
         );
     }

@@ -11,8 +11,8 @@
 //! * [`graph`] — CSR graph substrate (construction, traversal, statistics).
 //! * [`generators`] — R-MAT, Erdős–Rényi, structured graphs and synthetic
 //!   gene-correlation networks.
-//! * [`runtime`] — execution engines (serial, dynamic self-scheduling pool,
-//!   rayon).
+//! * [`runtime`] — execution engines (serial, dynamic self-scheduling on
+//!   the shared persistent pool).
 //! * [`core`] — the extraction algorithms behind the
 //!   [`ChordalExtractor`]/[`Algorithm`] registry (the paper's Algorithm 1,
 //!   the sequential reference, the Dearing serial baseline, the partitioned
@@ -34,7 +34,7 @@
 //! let graph = RmatParams::preset(RmatKind::B, 9, 42).generate();
 //!
 //! // Extract a maximal chordal subgraph with the default configuration
-//! // (rayon engine over all cores, sorted adjacency, asynchronous
+//! // (pool engine over all cores, sorted adjacency, asynchronous
 //! // semantics — the paper-faithful setup).
 //! let result = extract_maximal_chordal(&graph);
 //!
@@ -92,7 +92,7 @@
 //! // Mixed serving traffic: fan small graphs out, run graphs with at
 //! // least 2_000 edges with intra-graph parallelism.
 //! let config = ExtractorConfig::default()
-//!     .with_engine(Engine::rayon(4))
+//!     .with_engine(Engine::pool(4))
 //!     .with_batch_threshold_edges(2_000);
 //! let results = ExtractionSession::new(config).extract_batch(&refs);
 //! assert_eq!(results.len(), graphs.len());
@@ -101,8 +101,8 @@
 //! ## The algorithm registry
 //!
 //! Every algorithm is reachable through [`Algorithm`] and one
-//! [`ExtractorConfig`] — the CLI, benches and experiments all dispatch this
-//! way:
+//! [`ExtractorConfig`] — the CLI, the server and the experiments all
+//! dispatch this way:
 //!
 //! ```
 //! use maximal_chordal::prelude::*;

@@ -33,8 +33,8 @@ const CASES: u64 = 12;
 fn engines() -> Vec<Engine> {
     vec![
         Engine::serial(),
-        Engine::chunked_with_grain(4, 8),
-        Engine::rayon(4),
+        Engine::pool(4).with_grain(8),
+        Engine::pool(4),
     ]
 }
 
@@ -147,7 +147,7 @@ fn hybrid_batches_agree_with_single_runs_for_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_engine(Engine::rayon(3))
+            .with_engine(Engine::pool(3))
             .with_semantics(Semantics::Synchronous)
             .with_batch_threshold_edges(threshold);
         let batch = ExtractionSession::new(config.clone()).extract_batch(&refs);
@@ -179,7 +179,7 @@ fn batch_threshold_extremes_agree_on_random_batches() {
         // Rebalancing off: these are the pure-placement reference oracles,
         // so they must never take the promotion path themselves.
         let base = ExtractorConfig::default()
-            .with_engine(Engine::rayon(3))
+            .with_engine(Engine::pool(3))
             .with_semantics(Semantics::Synchronous)
             .with_batch_rebalance(false);
         let fanned = ExtractionSession::new(base.clone().with_batch_threshold_edges(usize::MAX))
@@ -213,7 +213,7 @@ fn adaptive_batches_agree_with_static_policies_for_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let base = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_engine(Engine::rayon(3))
+            .with_engine(Engine::pool(3))
             .with_semantics(Semantics::Synchronous)
             .with_partitions(
                 3,
@@ -262,7 +262,7 @@ fn ewma_and_rebalancing_batches_stay_byte_identical_across_repeats() {
         })
         .collect();
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    for engine in [Engine::rayon(3), Engine::chunked_with_grain(4, 8)] {
+    for engine in [Engine::pool(3), Engine::pool(4).with_grain(8)] {
         let base = ExtractorConfig::default()
             .with_engine(engine)
             .with_semantics(Semantics::Synchronous);
@@ -312,7 +312,7 @@ fn ewma_pivot_converges_toward_measured_cost() {
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     let threads = 3;
     let config = ExtractorConfig::default()
-        .with_engine(Engine::rayon(threads))
+        .with_engine(Engine::pool(threads))
         .with_semantics(Semantics::Synchronous)
         .with_batch_adaptive(true);
     let mut session = ExtractionSession::new(config);
@@ -390,7 +390,7 @@ fn rebalanced_batches_agree_with_static_policies_for_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let base = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_engine(Engine::rayon(3))
+            .with_engine(Engine::pool(3))
             .with_semantics(Semantics::Synchronous)
             .with_partitions(
                 3,
@@ -433,7 +433,7 @@ fn batch_traffic_grows_the_pool_dispatch_counters() {
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     let mut session = ExtractionSession::new(
         ExtractorConfig::default()
-            .with_engine(Engine::rayon(4))
+            .with_engine(Engine::pool(4))
             .with_batch_threshold_edges(0), // intra-graph: every graph submits regions
     );
     let before = rayon::pool_stats();
@@ -454,7 +454,7 @@ fn sustained_extraction_traffic_never_spawns_threads_after_warmup() {
     // Warm the pool with one parallel extraction...
     let warm_graph = RmatParams::preset(RmatKind::G, 8, 1).generate();
     let mut session =
-        ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::rayon(4)));
+        ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::pool(4)));
     session.extract(&warm_graph);
     let spawned = rayon::pool_spawned_threads();
     assert_eq!(
@@ -462,23 +462,21 @@ fn sustained_extraction_traffic_never_spawns_threads_after_warmup() {
         rayon::pool_size(),
         "warm-up must have spawned exactly the configured pool"
     );
-    // ...then drive sustained single-graph and batch traffic over both
-    // parallel engines and assert the pool never grows: parallel regions
+    // ...then drive sustained single-graph and batch traffic and assert
+    // the pool never grows: parallel regions
     // reuse the persistent workers instead of spawning.
     let graphs: Vec<CsrGraph> = (0..6)
         .map(|seed| RmatParams::preset(RmatKind::Er, 7, seed).generate())
         .collect();
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    for engine in [Engine::rayon(4), Engine::chunked(4)] {
-        let mut session = ExtractionSession::new(
-            ExtractorConfig::default()
-                .with_engine(engine)
-                .with_batch_threshold_edges(1_000),
-        );
-        for _ in 0..8 {
-            session.extract(&warm_graph);
-            session.extract_batch(&refs);
-        }
+    let mut session = ExtractionSession::new(
+        ExtractorConfig::default()
+            .with_engine(Engine::pool(4))
+            .with_batch_threshold_edges(1_000),
+    );
+    for _ in 0..16 {
+        session.extract(&warm_graph);
+        session.extract_batch(&refs);
     }
     assert_eq!(
         rayon::pool_spawned_threads(),

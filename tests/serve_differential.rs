@@ -110,9 +110,9 @@ impl Drop for Fixture {
 
 /// Runs the full matrix for one generated workload.
 fn run_matrix(tag: &str, graph: CsrGraph) {
-    // Two threads keeps the parallel engines honest without oversubscribing
-    // the CI matrix; sync semantics makes the result deterministic anyway.
-    let (engine, threads) = ("rayon", 2);
+    // Two threads keeps the pool engine honest without oversubscribing the
+    // CI matrix; sync semantics makes the result deterministic anyway.
+    let (engine, threads) = ("pool", 2);
     let fixture = Fixture::start(tag, &graph);
     let mut client = ServeClient::connect(fixture.handle.addr()).expect("connecting");
 

@@ -74,6 +74,9 @@ fn malformed_arguments_get_typed_errors_and_the_connection_survives() {
         // Unparsable values.
         ("EXTRACT path=/tmp/x format=bogus", "bad-arg"),
         ("EXTRACT path=/tmp/x algorithm=quantum", "bad-arg"),
+        // Engine spellings that no longer exist.
+        ("EXTRACT path=/tmp/x engine=rayon", "bad-arg"),
+        ("EXTRACT path=/tmp/x engine=chunked", "bad-arg"),
         ("EXTRACT path=/tmp/x threads=many", "bad-arg"),
         ("EXTRACT path=/tmp/x repair=maybe", "bad-arg"),
         ("EXTRACT graph=nothex algorithm=alg1", "bad-arg"),
@@ -89,7 +92,7 @@ fn malformed_arguments_get_typed_errors_and_the_connection_survives() {
         assert_eq!(response.code(), Some(*code), "{line} -> {}", response.raw);
         assert!(!response.ok());
     }
-    // Eleven errors later the connection still serves.
+    // Thirteen errors later the connection still serves.
     assert!(client.request("PING").unwrap().ok());
 }
 

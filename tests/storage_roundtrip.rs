@@ -26,10 +26,14 @@ struct DiskPair {
 
 impl DiskPair {
     fn create(tag: &str, graph: &CsrGraph) -> DiskPair {
+        // Tests run concurrently and share tags, so every pair gets its own
+        // sequence number: one test's drop must not delete another's files.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let txt = dir.join(format!("chordal_roundtrip_{pid}_{tag}.txt"));
-        let bin = dir.join(format!("chordal_roundtrip_{pid}_{tag}.bin"));
+        let txt = dir.join(format!("chordal_roundtrip_{pid}_{seq}_{tag}.txt"));
+        let bin = dir.join(format!("chordal_roundtrip_{pid}_{seq}_{tag}.bin"));
         write_edge_list_file(graph, &txt).expect("writing text edge list");
         convert_edge_list_to_binary(&txt, &bin).expect("streaming conversion");
         DiskPair { txt, bin }
@@ -115,7 +119,7 @@ fn parallel_pool_extraction_agrees_across_representations() {
         let mapped = disk.mmap();
         let config = ExtractorConfig::default()
             .with_semantics(Semantics::Synchronous)
-            .with_engine(Engine::chunked(4));
+            .with_engine(Engine::pool(4));
         let from_heap = ExtractionSession::new(config.clone()).extract(&graph);
         let from_mmap = ExtractionSession::new(config).extract(&mapped);
         assert_eq!(from_heap, from_mmap, "{tag}: pool run diverged");
@@ -156,7 +160,7 @@ fn batch_scheduler_handles_mixed_heap_and_mmap_views() {
     let mapped: Vec<MmapCsrGraph> = disks.iter().map(DiskPair::mmap).collect();
     let config = ExtractorConfig::default()
         .with_semantics(Semantics::Synchronous)
-        .with_engine(Engine::chunked(4));
+        .with_engine(Engine::pool(4));
     // All-heap batch vs the same batch served from mmaps, interleaved with
     // heap views — placement and results must not depend on storage.
     let heap_views: Vec<GraphRef<'_>> = graphs.iter().map(|(_, g)| g.into()).collect();
