@@ -10,9 +10,9 @@
 //! between them at [`chordal_core::kernels::GALLOP_RATIO`]. This
 //! experiment measures all three variants on synthetic sorted-list
 //! families spanning the skew spectrum (uniform, 16×, 256×, needle), plus
-//! the end-to-end effect of the hot/cold CSR layout: the same triangle
-//! sweep over one R-MAT graph with compact (`u32`) and wide (`usize`)
-//! offset arrays.
+//! the end-to-end effect of the offsets width: the same triangle sweep
+//! over one R-MAT graph with compact (`u32`) and wide (`u64`) offset
+//! arrays.
 //!
 //! Each [`KernelPoint`] records `ns_per_edge` (nanoseconds per input
 //! element) and a `bytes_touched` estimate, so the ablation JSON shows

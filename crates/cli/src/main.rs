@@ -240,10 +240,19 @@ fn requested_format(flags: &Flags) -> Result<Option<FileFormat>, ExtractError> {
 }
 
 /// Loads a graph in whichever on-disk format it uses: text edge lists
-/// parse into heap CSR, binary CSR files are memory-mapped.
+/// parse into heap CSR, binary CSR files are memory-mapped and then
+/// validated in full ([`MmapCsrGraph::verify_checksum`]: checksum, neighbor
+/// id range, sorted flag), so a hostile file ends in a typed error rather
+/// than an out-of-bounds index downstream.
 fn load_input(path: &str, format: Option<FileFormat>) -> Result<LoadedGraph, ExtractError> {
-    chordal_graph::storage::load_graph(path, format)
-        .map_err(|e| ExtractError::io(format!("reading {path}"), e))
+    let loaded = chordal_graph::storage::load_graph(path, format)
+        .map_err(|e| ExtractError::io(format!("reading {path}"), e))?;
+    if let LoadedGraph::Mapped(mapped) = &loaded {
+        mapped
+            .verify_checksum()
+            .map_err(|e| ExtractError::io(format!("validating {path}"), e))?;
+    }
+    Ok(loaded)
 }
 
 fn cmd_convert(flags: &Flags) -> Result<(), ExtractError> {
@@ -274,8 +283,8 @@ fn cmd_convert(flags: &Flags) -> Result<(), ExtractError> {
         })?;
         println!(
             "verified {output}: header valid, checksum matches ({} vertices, {} edges)",
-            mapped.num_vertices(),
-            mapped.num_edges()
+            mapped.view().num_vertices(),
+            mapped.view().num_edges()
         );
     }
     Ok(())
@@ -352,13 +361,7 @@ fn cmd_extract(flags: &Flags) -> Result<(), ExtractError> {
     }
     let mut edges = result.edges().to_vec();
     if flags.contains_key("stitch") {
-        // Stitching walks the host adjacency repeatedly; run it on a heap
-        // graph (a no-op borrow for text inputs, one materialisation for
-        // mmapped ones).
-        let stitched = match &loaded {
-            LoadedGraph::Heap(g) => stitch_components(g, &edges),
-            LoadedGraph::Mapped(_) => stitch_components(&loaded.to_csr_graph(), &edges),
-        };
+        let stitched = stitch_components(view, &edges);
         println!(
             "stitching: {} -> {} components, {} edges added",
             stitched.components_before,
@@ -597,13 +600,11 @@ fn cmd_analyze(flags: &Flags) -> Result<(), ExtractError> {
     println!("memory:");
     println!("  index width:                  {}", memory.width.label());
     println!(
-        "  hot bytes:                    {} (offsets {}, neighbors {}, flags {})",
+        "  hot bytes:                    {} (offsets {}, neighbors {})",
         memory.hot_bytes(),
         memory.offsets_bytes,
-        memory.neighbors_bytes,
-        memory.flags_bytes
+        memory.neighbors_bytes
     );
-    println!("  cold bytes (materialized):    {}", memory.cold_bytes);
     println!(
         "  projected savings vs wide:    {}",
         memory.projected_savings()

@@ -11,7 +11,7 @@
 //! components" description to inputs where consecutive components share no
 //! edge.
 
-use chordal_graph::{subgraph::edge_subgraph, traversal::connected_components, CsrGraph, Edge};
+use chordal_graph::{subgraph::edge_subgraph, traversal::connected_components, Edge, GraphRef};
 
 /// Result of the stitching pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +33,11 @@ pub struct StitchResult {
 /// The combined edge set `chordal_edges ∪ added_edges` is still chordal:
 /// every added edge joins two previously disconnected parts at the moment it
 /// is (conceptually) added, so no new cycle can pass through it.
-pub fn stitch_components(graph: &CsrGraph, chordal_edges: &[Edge]) -> StitchResult {
+pub fn stitch_components<'a>(
+    graph: impl Into<GraphRef<'a>>,
+    chordal_edges: &[Edge],
+) -> StitchResult {
+    let graph = graph.into();
     let sub = edge_subgraph(graph, chordal_edges);
     let comps = connected_components(&sub);
     if comps.count <= 1 {
@@ -84,7 +88,7 @@ pub fn stitch_components(graph: &CsrGraph, chordal_edges: &[Edge]) -> StitchResu
 
 /// Convenience: returns the chordal edge set augmented with the stitching
 /// edges.
-pub fn stitched_edge_set(graph: &CsrGraph, chordal_edges: &[Edge]) -> Vec<Edge> {
+pub fn stitched_edge_set<'a>(graph: impl Into<GraphRef<'a>>, chordal_edges: &[Edge]) -> Vec<Edge> {
     let mut edges = chordal_edges.to_vec();
     edges.extend(stitch_components(graph, chordal_edges).added_edges);
     edges

@@ -79,7 +79,7 @@ impl MaximalChordalExtractor {
             );
         }
         let engine = &self.config.engine;
-        workspace.prepare_atomic_from(graph);
+        workspace.prepare_atomic(n, graph.num_directed_edges());
         // Reusable frozen snapshots for the synchronous semantics; taken out
         // of the workspace so the shared state can borrow it immutably.
         let mut frozen_lp = std::mem::take(&mut workspace.ids_a);
@@ -87,7 +87,7 @@ impl MaximalChordalExtractor {
         frozen_lp.clear();
         frozen_clen.clear();
 
-        let state = SharedState::borrowed(workspace, n, graph.num_directed_edges());
+        let state = SharedState::borrowed(workspace, graph);
         let flags = workspace.flags();
 
         // Initialisation: every vertex determines its lowest parent; the
@@ -161,7 +161,7 @@ impl MaximalChordalExtractor {
         let edges: Vec<(VertexId, VertexId)> = engine.parallel_collect(n, |w_idx, out| {
             let w = w_idx as VertexId;
             let len = state.clen[w_idx].load(Ordering::Acquire) as usize;
-            let base = state.offsets[w_idx];
+            let base = graph.adjacency_start(w_idx);
             for i in 0..len {
                 let parent = state.cdata[base + i].load(Ordering::Relaxed);
                 out.push((parent, w));
@@ -232,7 +232,7 @@ fn process_lowest_parent(
         if state.subset(w_idx, len_w, v_idx, len_v) {
             // C[w] ← C[w] ∪ {v}; the new entry is published with a release
             // store on the length so later readers see a complete prefix.
-            let base = state.offsets[w_idx];
+            let base = graph.adjacency_start(w_idx);
             state.cdata[base + len_w].store(v, Ordering::Relaxed);
             state.clen[w_idx].store((len_w + 1) as u32, Ordering::Release);
             accepted += 1;
@@ -267,9 +267,9 @@ struct SharedState<'a> {
     lp: &'a [AtomicU32],
     /// Cursor of the current parent in the sorted adjacency (Opt variant).
     cursor: &'a [AtomicU32],
-    /// Per-vertex offsets into `cdata` (copied from the graph's CSR offsets:
-    /// a vertex can never have more chordal neighbours than its degree).
-    offsets: &'a [usize],
+    /// The graph, whose CSR offsets index `cdata` too: a vertex can never
+    /// have more chordal neighbours than its degree.
+    graph: GraphRef<'a>,
     /// Chordal-neighbour arena.
     cdata: &'a [AtomicU32],
     /// Published length of every chordal-neighbour set.
@@ -277,14 +277,14 @@ struct SharedState<'a> {
 }
 
 impl<'a> SharedState<'a> {
-    /// Borrows the prepared buffers of `workspace` for a graph with `n`
-    /// vertices and `total` directed edges.
-    fn borrowed(workspace: &'a Workspace, n: usize, total: usize) -> Self {
+    /// Borrows the buffers of `workspace`, prepared for `graph`.
+    fn borrowed(workspace: &'a Workspace, graph: GraphRef<'a>) -> Self {
+        let n = graph.num_vertices();
         Self {
             lp: &workspace.lp[..n],
             cursor: &workspace.cursor[..n],
-            offsets: &workspace.offsets[..n + 1],
-            cdata: &workspace.cdata[..total],
+            graph,
+            cdata: &workspace.cdata[..graph.num_directed_edges()],
             clen: &workspace.clen[..n],
         }
     }
@@ -303,8 +303,8 @@ impl<'a> SharedState<'a> {
     /// order; elements live in the atomic arena, so the shared kernel is
     /// used through its accessor form with relaxed per-element loads.
     fn subset(&self, a: usize, len_a: usize, b: usize, len_b: usize) -> bool {
-        let base_a = self.offsets[a];
-        let base_b = self.offsets[b];
+        let base_a = self.graph.adjacency_start(a);
+        let base_b = self.graph.adjacency_start(b);
         crate::kernels::sorted_subset_by(
             len_a,
             |i| self.cdata[base_a + i].load(Ordering::Relaxed),

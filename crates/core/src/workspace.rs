@@ -16,7 +16,7 @@
 //! start doctests) assert.
 
 use crate::repair::incremental::RepairScratch;
-use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
+use chordal_graph::{VertexId, NO_VERTEX};
 use chordal_runtime::AtomicFlags;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -34,10 +34,9 @@ pub struct Workspace {
     pub(crate) cursor: Vec<AtomicU32>,
     /// Published chordal-set length per vertex.
     pub(crate) clen: Vec<AtomicU32>,
-    /// CSR-shaped chordal-neighbour arena (sized by directed edge count).
+    /// CSR-shaped chordal-neighbour arena (sized by directed edge count,
+    /// indexed through the graph's own offsets).
     pub(crate) cdata: Vec<AtomicU32>,
-    /// Copy of the graph's CSR offsets.
-    pub(crate) offsets: Vec<usize>,
     /// Per-vertex queue-membership flags.
     pub(crate) flags: Option<AtomicFlags>,
     // --- plain scratch shared by the serial algorithms and snapshots -------
@@ -104,7 +103,6 @@ impl Workspace {
             + vec_bytes(self.cursor.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.clen.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
-            + vec_bytes(self.offsets.capacity(), size_of::<usize>())
             + self.flags.as_ref().map_or(0, |f| f.allocated_bytes())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
             + vec_bytes(self.ids_b.capacity(), size_of::<u32>())
@@ -160,35 +158,7 @@ impl Workspace {
     /// vertices and `directed_edges` directed edges. Lowest parents start at
     /// [`NO_VERTEX`], cursors and chordal-set lengths at zero; the arena is
     /// left untouched (its live prefix is defined by `clen`).
-    #[cfg(test)]
-    pub(crate) fn prepare_atomic(&mut self, n: usize, directed_edges: usize, offsets: &[usize]) {
-        self.prepare_atomic_arrays(n, directed_edges);
-        self.offsets.clear();
-        if self.offsets.capacity() < offsets.len() {
-            self.allocations += 1;
-        }
-        self.offsets.extend_from_slice(offsets);
-        self.prepare_flags(n);
-    }
-
-    /// [`Workspace::prepare_atomic`] driven directly by a [`GraphRef`].
-    /// Both heap and mmap-backed graphs fill the copy through
-    /// [`GraphRef::adjacency_start`] — heap graphs store offsets at the
-    /// compact width ([`chordal_graph::layout`]), so neither representation
-    /// has a `&[usize]` slice to hand over wholesale.
-    pub(crate) fn prepare_atomic_from(&mut self, graph: GraphRef<'_>) {
-        let n = graph.num_vertices();
-        self.prepare_atomic_arrays(n, graph.num_directed_edges());
-        self.offsets.clear();
-        if self.offsets.capacity() < n + 1 {
-            self.allocations += 1;
-        }
-        self.offsets
-            .extend((0..=n).map(|i| graph.adjacency_start(i)));
-        self.prepare_flags(n);
-    }
-
-    fn prepare_atomic_arrays(&mut self, n: usize, directed_edges: usize) {
+    pub(crate) fn prepare_atomic(&mut self, n: usize, directed_edges: usize) {
         if self.lp.len() < n {
             self.allocations += 1;
             self.lp.resize_with(n, || AtomicU32::new(NO_VERTEX));
@@ -204,9 +174,6 @@ impl Workspace {
             self.allocations += 1;
             self.cdata.resize_with(directed_edges, || AtomicU32::new(0));
         }
-    }
-
-    fn prepare_flags(&mut self, n: usize) {
         match &self.flags {
             Some(flags) if flags.len() >= n => flags.clear_all(),
             _ => {
@@ -275,39 +242,38 @@ mod tests {
     #[test]
     fn allocated_bytes_tracks_growth_and_stays_flat_on_reuse() {
         let mut ws = Workspace::new();
-        ws.prepare_atomic(64, 256, &vec![0usize; 65]);
+        ws.prepare_atomic(64, 256);
         ws.prepare_plain(64);
         let bytes = ws.allocated_bytes();
-        // At minimum the four atomic arrays and the offsets copy.
-        assert!(bytes >= 64 * 4 * 3 + 256 * 4 + 65 * 8, "bytes {bytes}");
-        ws.prepare_atomic(64, 256, &vec![0usize; 65]);
+        // At minimum the four atomic arrays.
+        assert!(bytes >= 64 * 4 * 3 + 256 * 4, "bytes {bytes}");
+        ws.prepare_atomic(64, 256);
         ws.prepare_plain(64);
         assert_eq!(ws.allocated_bytes(), bytes, "same shape must stay flat");
-        ws.prepare_atomic(128, 512, &vec![0usize; 129]);
+        ws.prepare_atomic(128, 512);
         assert!(ws.allocated_bytes() > bytes, "growth must be visible");
     }
 
     #[test]
     fn prepare_atomic_grows_once_per_shape() {
         let mut ws = Workspace::new();
-        let offsets = vec![0usize, 2, 4];
-        ws.prepare_atomic(2, 4, &offsets);
+        ws.prepare_atomic(2, 4);
         let first = ws.allocations();
         assert!(first > 0);
-        ws.prepare_atomic(2, 4, &offsets);
+        ws.prepare_atomic(2, 4);
         assert_eq!(ws.allocations(), first, "same shape must not reallocate");
-        ws.prepare_atomic(3, 8, &[0, 2, 4, 8]);
+        ws.prepare_atomic(3, 8);
         assert!(ws.allocations() > first, "growth must be counted");
     }
 
     #[test]
     fn prepare_atomic_resets_state() {
         let mut ws = Workspace::new();
-        ws.prepare_atomic(2, 2, &[0, 1, 2]);
+        ws.prepare_atomic(2, 2);
         ws.lp[0].store(7, Ordering::Relaxed);
         ws.clen[1].store(9, Ordering::Relaxed);
         ws.flags().test_and_set(1);
-        ws.prepare_atomic(2, 2, &[0, 1, 2]);
+        ws.prepare_atomic(2, 2);
         assert_eq!(ws.lp[0].load(Ordering::Relaxed), NO_VERTEX);
         assert_eq!(ws.clen[1].load(Ordering::Relaxed), 0);
         assert!(ws.flags().test_and_set(1), "flags must have been cleared");

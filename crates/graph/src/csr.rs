@@ -1,9 +1,9 @@
 //! Compressed-sparse-row adjacency structure.
 
-use crate::layout::{ColdCsr, EdgeFlags, HotCsr, IndexWidth, MemoryBreakdown};
-use crate::{EdgeList, GraphError, VertexId};
+use crate::graphref::Derived;
+use crate::layout::{MemoryBreakdown, OffsetBuf, OffsetsWidth};
+use crate::{Edge, EdgeList, GraphError, GraphRef, VertexId};
 use rayon::prelude::*;
-use std::sync::OnceLock;
 
 /// An immutable undirected graph in compressed-sparse-row form.
 ///
@@ -13,33 +13,29 @@ use std::sync::OnceLock;
 /// algorithm requires sorted adjacency while the "Unopt" variant operates on
 /// generator-ordered lists.
 ///
-/// Storage follows the hot/cold split of [`crate::layout`]: the traversal
-/// arrays ([`HotCsr`]: offsets at the narrowest sound index width, `u32`
-/// neighbor ids, packed per-edge flags) are separated from lazily
-/// materialized cold metadata ([`ColdCsr`]), so kernels touch only the
-/// bytes they need.
+/// The graph owns two arrays — offsets at the width
+/// [`offsets_width`](crate::layout::offsets_width) picks, and `u32` neighbor
+/// ids — and lends them as a [`GraphRef`] ([`CsrGraph::view`]). The read
+/// accessors below delegate to that view.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
-    num_vertices: usize,
-    /// The hot traversal arrays (offsets, neighbors, per-edge flags).
-    hot: HotCsr,
-    /// Lazily materialized cold companion arrays; excluded from equality.
-    cold: ColdCsr,
+    offsets: OffsetBuf,
+    neighbors: Vec<VertexId>,
     sorted: bool,
-    /// Lazily computed cache of [`CsrGraph::num_canonical_edges`]. No
-    /// method changes the stored edge multiset after construction
-    /// (`sort_adjacency` and scrambling only permute adjacency lists), so
+    /// Cached canonical edge count and checksum. No method changes the
+    /// stored edge multiset after construction (`sort_adjacency` and
+    /// scrambling only permute adjacency lists, and reset the checksum), so
     /// a computed value never goes stale.
-    canonical_edges: OnceLock<usize>,
+    derived: Derived,
 }
 
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &Self) -> bool {
-        // The canonical-edge cache and the cold arrays are derived data,
-        // deliberately ignored. Offset comparison is width-agnostic, so a
-        // deliberately widened copy equals the graph it mirrors.
-        self.num_vertices == other.num_vertices
-            && self.hot == other.hot
+        // The derived caches are deliberately ignored. Offset comparison is
+        // width-agnostic, so a deliberately widened copy equals the graph it
+        // mirrors.
+        self.offsets.view() == other.offsets.view()
+            && self.neighbors == other.neighbors
             && self.sorted == other.sorted
     }
 }
@@ -47,6 +43,15 @@ impl PartialEq for CsrGraph {
 impl Eq for CsrGraph {}
 
 impl CsrGraph {
+    fn from_arrays(offsets: OffsetBuf, neighbors: Vec<VertexId>, sorted: bool) -> Self {
+        Self {
+            offsets,
+            neighbors,
+            sorted,
+            derived: Derived::default(),
+        }
+    }
+
     /// Builds a graph from a (possibly non-canonical) edge list. Duplicates
     /// and self loops are removed. Adjacency lists are sorted ascending.
     pub fn from_edge_list(edges: &EdgeList) -> Self {
@@ -80,13 +85,7 @@ impl CsrGraph {
             neighbors[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        let mut graph = Self {
-            num_vertices,
-            hot: HotCsr::new(offsets, neighbors),
-            cold: ColdCsr::default(),
-            sorted: false,
-            canonical_edges: OnceLock::new(),
-        };
+        let mut graph = Self::from_arrays(OffsetBuf::from_offsets(offsets), neighbors, false);
         graph.sort_adjacency();
         graph
     }
@@ -135,177 +134,109 @@ impl CsrGraph {
                 num_vertices: num_vertices as u64,
             });
         }
-        let sorted = (0..num_vertices).all(|v| {
-            let range = offsets[v]..offsets[v + 1];
-            neighbors[range].windows(2).all(|w| w[0] <= w[1])
-        });
-        Ok(Self {
-            num_vertices,
-            hot: HotCsr::new(offsets, neighbors),
-            cold: ColdCsr::default(),
-            sorted,
-            canonical_edges: OnceLock::new(),
-        })
+        let mut graph = Self::from_arrays(OffsetBuf::from_offsets(offsets), neighbors, false);
+        graph.sorted = graph.view().first_unsorted().is_none();
+        Ok(graph)
     }
 
     /// An empty graph on `num_vertices` isolated vertices.
     pub fn empty(num_vertices: usize) -> Self {
-        Self {
-            num_vertices,
-            hot: HotCsr::new(vec![0; num_vertices + 1], Vec::new()),
-            cold: ColdCsr::default(),
-            sorted: true,
-            canonical_edges: OnceLock::new(),
-        }
+        Self::from_arrays(
+            OffsetBuf::from_offsets(vec![0; num_vertices + 1]),
+            Vec::new(),
+            true,
+        )
+    }
+
+    /// An owned copy of a view's arrays, at the view's offsets width.
+    pub(crate) fn copy_of(view: GraphRef<'_>) -> Self {
+        Self::from_arrays(
+            OffsetBuf::copy_of(view.offsets()),
+            view.adjacency().to_vec(),
+            view.is_sorted(),
+        )
+    }
+
+    /// The borrowed view every read accessor goes through.
+    #[inline]
+    pub fn view(&self) -> GraphRef<'_> {
+        GraphRef::new(
+            self.offsets.view(),
+            &self.neighbors,
+            self.sorted,
+            &self.derived,
+        )
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.view().num_vertices()
     }
 
-    /// Number of undirected edges as *half the stored adjacency entries*.
-    ///
-    /// For graphs built through the canonicalising constructors
-    /// ([`CsrGraph::from_edge_list`], [`CsrGraph::from_canonical_edges`]
-    /// with genuinely canonical input) this equals the distinct edge count.
-    /// For raw CSR input ([`CsrGraph::from_parts`]) the adjacency may still
-    /// contain duplicate entries and self loops, which this method counts —
-    /// mirroring [`crate::EdgeList::num_edges`] on a non-canonicalised
-    /// list. Callers making *cost* decisions (e.g. batch placement) should
-    /// use [`CsrGraph::num_canonical_edges`] instead.
+    /// See [`GraphRef::num_edges`].
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.hot.neighbors().len() / 2
+        self.view().num_edges()
     }
 
-    /// Number of *distinct* undirected, non-loop edges — the canonical edge
-    /// count, independent of duplicate adjacency entries or self loops that
-    /// raw [`CsrGraph::from_parts`] input may carry.
-    ///
-    /// This is the contract quantity for workload-size decisions: the batch
-    /// scheduler places graphs (fan-out vs intra-graph parallelism) on this
-    /// count, so a noisy, non-canonicalised input cannot be misplaced by
-    /// its duplicate edges. Computed lazily — `O(V + E)` on the first call
-    /// (unsorted adjacency pays an additional per-vertex sort of a scratch
-    /// buffer), `O(1)` afterwards (the graph is immutable, so the cached
-    /// value never goes stale).
-    ///
-    /// **Contract:** edges are counted from the *lower* endpoint's
-    /// adjacency list, which is exact for symmetric adjacency — what every
-    /// constructor produces and the extraction algorithms require.
-    /// [`CsrGraph::from_parts`] technically admits asymmetric adjacency; an
-    /// edge stored only in its higher endpoint's list is not counted.
-    /// Validate such inputs with [`CsrGraph::validate_symmetry`] before
-    /// relying on this count.
+    /// See [`GraphRef::num_canonical_edges`].
     pub fn num_canonical_edges(&self) -> usize {
-        *self.canonical_edges.get_or_init(|| {
-            if self.sorted {
-                let mut count = 0usize;
-                for u in 0..self.num_vertices as VertexId {
-                    let mut prev = None;
-                    for &v in self.neighbors(u) {
-                        if v > u && Some(v) != prev {
-                            count += 1;
-                        }
-                        prev = Some(v);
-                    }
-                }
-                count
-            } else {
-                let mut scratch: Vec<VertexId> = Vec::new();
-                let mut count = 0usize;
-                for u in 0..self.num_vertices as VertexId {
-                    scratch.clear();
-                    scratch.extend(self.neighbors(u).iter().copied().filter(|&v| v > u));
-                    scratch.sort_unstable();
-                    scratch.dedup();
-                    count += scratch.len();
-                }
-                count
-            }
-        })
+        self.view().num_canonical_edges()
     }
 
     /// Number of directed adjacency entries (twice the edge count).
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
-        self.hot.neighbors().len()
+        self.view().num_directed_edges()
     }
 
     /// Degree of vertex `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let range = self.hot.offsets().range(v as usize);
-        range.end - range.start
+        self.view().degree(v)
     }
 
     /// Neighbours of `v` as a slice.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.hot.neighbors_of(v)
+        self.view().neighbors(v)
     }
 
-    /// Start of vertex `i`'s adjacency range (`i` may be `num_vertices`,
-    /// yielding the directed edge count) — the heap-side mirror of
-    /// [`crate::storage::MmapCsrGraph::adjacency_start`].
+    /// See [`GraphRef::adjacency_start`].
     #[inline]
     pub fn adjacency_start(&self, i: usize) -> usize {
-        self.hot.offsets().get(i)
+        self.view().adjacency_start(i)
     }
 
-    /// The chosen offset index width of the hot layout.
-    #[inline]
-    pub fn offset_width(&self) -> IndexWidth {
-        self.hot.offsets().width()
-    }
-
-    /// The packed per-edge flags of the hot layout (canonical-orientation
-    /// bits).
-    #[inline]
-    pub fn edge_flags(&self) -> &EdgeFlags {
-        self.hot.flags()
-    }
-
-    /// The lazily materialized cold companion arrays.
-    #[inline]
-    pub fn cold(&self) -> &ColdCsr {
-        &self.cold
-    }
-
-    /// Byte accounting of the in-memory layout: chosen width, hot/cold
-    /// array bytes, and the projected wide-layout comparison.
+    /// Byte accounting of the in-memory layout: chosen width, array bytes,
+    /// and the projected wide-layout comparison.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
-        let offsets = self.hot.offsets();
+        let offsets = self.offsets.view();
         MemoryBreakdown {
             width: offsets.width(),
             offsets_bytes: offsets.bytes(),
-            neighbors_bytes: std::mem::size_of_val(self.hot.neighbors()),
-            flags_bytes: self.hot.flags().bytes(),
-            cold_bytes: self.cold.bytes(),
-            wide_offsets_bytes: offsets.len() * std::mem::size_of::<usize>(),
+            neighbors_bytes: std::mem::size_of_val(self.neighbors.as_slice()),
+            wide_offsets_bytes: offsets.len() * OffsetsWidth::U64.bytes(),
         }
     }
 
-    /// A copy of this graph with forcibly wide (`usize`) offsets — the
+    /// A copy of this graph with forcibly wide (`u64`) offsets — the
     /// ablation baseline the compact layout is measured against. Compares
     /// equal to `self` (offset equality is width-agnostic).
     pub fn with_wide_offsets(&self) -> Self {
-        let offsets: Vec<usize> = self.hot.offsets().iter().collect();
-        Self {
-            num_vertices: self.num_vertices,
-            hot: HotCsr::new_wide(offsets, self.hot.neighbors().to_vec()),
-            cold: ColdCsr::default(),
-            sorted: self.sorted,
-            canonical_edges: OnceLock::new(),
-        }
+        let offsets = self.offsets.view();
+        Self::from_arrays(
+            OffsetBuf::wide((0..offsets.len()).map(|i| offsets.get(i) as u64)),
+            self.neighbors.clone(),
+            self.sorted,
+        )
     }
 
     /// The raw adjacency array.
     #[inline]
     pub fn adjacency(&self) -> &[VertexId] {
-        self.hot.neighbors()
+        &self.neighbors
     }
 
     /// Whether every adjacency list is sorted ascending.
@@ -317,26 +248,21 @@ impl CsrGraph {
     /// Sorts every adjacency list ascending (in parallel). Afterwards
     /// [`CsrGraph::is_sorted`] returns `true`.
     pub fn sort_adjacency(&mut self) {
-        let num_vertices = self.num_vertices;
-        let (offsets, neighbors) = self.hot.parts_mut();
+        let offsets = self.offsets.view();
+        let num_vertices = offsets.len() - 1;
         // Split the adjacency into per-vertex chunks without aliasing.
         let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(num_vertices);
-        let mut rest: &mut [VertexId] = neighbors;
-        let mut consumed = 0usize;
+        let mut rest: &mut [VertexId] = &mut self.neighbors;
         for v in 0..num_vertices {
-            let range = offsets.range(v);
-            let len = range.end - range.start;
-            let (head, tail) = rest.split_at_mut(len);
+            let (head, tail) = rest.split_at_mut(offsets.range(v).len());
             slices.push(head);
             rest = tail;
-            consumed += len;
         }
-        debug_assert_eq!(consumed, offsets.get(num_vertices));
+        debug_assert!(rest.is_empty());
         slices.par_iter_mut().for_each(|s| s.sort_unstable());
-        // In-list permutation moves slots, so the per-edge flag bits must
-        // follow.
-        self.hot.rebuild_flags();
         self.sorted = true;
+        // Slots moved, so the encoding (and its checksum) changed.
+        self.derived.checksum = Default::default();
     }
 
     /// Returns a copy of this graph whose adjacency lists are shuffled into a
@@ -345,9 +271,9 @@ impl CsrGraph {
     /// order rather than ascending order.
     pub fn with_scrambled_adjacency(&self, seed: u64) -> Self {
         let mut clone = self.clone();
-        let (offsets, neighbors) = clone.hot.parts_mut();
-        for v in 0..self.num_vertices {
-            let slice = &mut neighbors[offsets.range(v)];
+        let offsets = clone.offsets.view();
+        for v in 0..offsets.len() - 1 {
+            let slice = &mut clone.neighbors[offsets.range(v)];
             // Deterministic Fisher-Yates driven by a splitmix64 stream.
             let mut state = seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut next = || {
@@ -362,83 +288,37 @@ impl CsrGraph {
                 slice.swap(i, j);
             }
         }
-        clone.hot.rebuild_flags();
-        clone.sorted = clone.check_sorted();
+        clone.sorted = clone.view().first_unsorted().is_none();
+        clone.derived.checksum = Default::default();
         clone
     }
 
-    fn check_sorted(&self) -> bool {
-        (0..self.num_vertices).all(|v| {
-            self.neighbors(v as VertexId)
-                .windows(2)
-                .all(|w| w[0] <= w[1])
-        })
-    }
-
-    /// Tests whether the edge `{u, v}` exists. Uses binary search when the
-    /// adjacency is sorted, linear scan otherwise.
+    /// See [`GraphRef::has_edge`].
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.num_vertices || v as usize >= self.num_vertices {
-            return false;
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let adj = self.neighbors(a);
-        if self.sorted {
-            adj.binary_search(&b).is_ok()
-        } else {
-            adj.contains(&b)
-        }
+        self.view().has_edge(u, v)
     }
 
     /// Maximum degree over all vertices (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        let offsets = self.hot.offsets();
-        (0..self.num_vertices)
-            .into_par_iter()
-            .map(|v| {
-                let range = offsets.range(v);
-                range.end - range.start
-            })
-            .max()
-            .unwrap_or(0)
+        self.view().max_degree()
     }
 
     /// Iterates over every undirected edge once, in canonical orientation
-    /// `(u, v)` with `u < v` — driven by the packed per-edge orientation
-    /// bits of the hot layout rather than re-comparing endpoint ids.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        let offsets = self.hot.offsets();
-        let flags = self.hot.flags();
-        (0..self.num_vertices as VertexId).flat_map(move |u| {
-            let range = offsets.range(u as usize);
-            let base = range.start;
-            self.hot.neighbors()[range]
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(move |&(i, _)| flags.get(base + i))
-                .map(move |(_, v)| (u, v))
-        })
+    /// `(u, v)` with `u < v`.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.view().edges()
     }
 
     /// Collects every undirected edge into an [`EdgeList`] (canonical form).
     pub fn to_edge_list(&self) -> EdgeList {
-        let mut el = EdgeList::with_capacity(self.num_vertices, self.num_edges());
-        for (u, v) in self.edges() {
-            el.push(u, v);
-        }
-        el
+        self.view().to_edge_list()
     }
 
     /// Checks that the adjacency structure is symmetric: `v ∈ adj(u)` iff
     /// `u ∈ adj(v)`, with matching multiplicity. Returns a description of the
     /// first violation found.
     pub fn validate_symmetry(&self) -> Result<(), GraphError> {
-        for u in 0..self.num_vertices as VertexId {
+        for u in 0..self.num_vertices() as VertexId {
             for &v in self.neighbors(u) {
                 let back = self.neighbors(v).iter().filter(|&&x| x == u).count();
                 let fwd = self.neighbors(u).iter().filter(|&&x| x == v).count();
@@ -454,7 +334,7 @@ impl CsrGraph {
 
     /// Sum of all degrees (equals `2 * num_edges`).
     pub fn total_degree(&self) -> usize {
-        self.hot.neighbors().len()
+        self.view().total_degree()
     }
 }
 

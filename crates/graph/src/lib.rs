@@ -8,6 +8,11 @@
 //! * [`CsrGraph`] — an immutable compressed-sparse-row adjacency structure
 //!   with optional sorted adjacency (the paper's "Opt" variant sorts the
 //!   neighbour lists, the "Unopt" variant leaves them in generator order).
+//! * [`GraphRef`] — the one borrowed view every algorithm reads: the CSR
+//!   offsets (`u32` or `u64` per the width rule in [`layout`]), the
+//!   neighbor ids and the sorted flag. Both owners —
+//!   [`CsrGraph`] and the mmap-backed [`MmapCsrGraph`] — lend it, and every
+//!   read accessor is implemented on it once.
 //! * Breadth-first traversal, connected components and vertex renumbering
 //!   ([`traversal`], [`permute`]) — the paper uses a BFS numbering to
 //!   guarantee that the extracted chordal edge set is connected.
@@ -15,8 +20,7 @@
 //!   the paper.
 //! * Out-of-core storage ([`storage`]) — a versioned binary CSR file format,
 //!   mmap-backed [`MmapCsrGraph`] loading, and bounded-memory text-to-binary
-//!   conversion. [`GraphRef`] is the storage-agnostic view that lets
-//!   consumers run on either representation.
+//!   conversion.
 //!
 //! The crate is deliberately free of any chordality-specific logic; that
 //! lives in `chordal-core`.
@@ -42,12 +46,12 @@ pub use csr::CsrGraph;
 pub use edgelist::EdgeList;
 pub use error::GraphError;
 pub use graphref::GraphRef;
-pub use layout::{IndexWidth, MemoryBreakdown};
+pub use layout::{MemoryBreakdown, OffsetsWidth};
 pub use stats::GraphStats;
 pub use storage::MmapCsrGraph;
 
 /// Identifier of a vertex. Graphs in this workspace are limited to
-/// `u32::MAX - 1` vertices, which keeps the hot arrays half the size of a
+/// `u32::MAX - 1` vertices, which keeps the neighbor array half the size of a
 /// `usize`-based representation (the paper's largest graph has 2^26
 /// vertices, well within range).
 pub type VertexId = u32;

@@ -35,10 +35,10 @@
 //!   payload offset must be 4-aligned.
 //!
 //! Entries with unknown ids are *ignored* (skipped over), reserving the
-//! table for forward-compatible cold-data extensions (weights, labels,
-//! provenance — the on-disk side of [`crate::layout::ColdCsr`]) that old
-//! readers can safely not understand. Unknown *flag* bits are still
-//! rejected: flags change the meaning of the mandatory sections.
+//! table for forward-compatible extensions (per-edge weights, labels,
+//! provenance) that old readers can safely not understand. Unknown *flag*
+//! bits are still rejected: flags change the meaning of the mandatory
+//! sections.
 //!
 //! ## Version 1 (read compatibility)
 //!
@@ -62,7 +62,10 @@
 //! table ends at byte 104; both are 8-aligned. The offsets section is
 //! `4·(nv+1)` or `8·(nv+1)` bytes, so the adjacency payload stays 4-aligned
 //! relative to the start of the file in both versions — a page-aligned mmap
-//! can reinterpret either section as a typed slice without copying.
+//! can reinterpret either section as a typed slice without copying. The
+//! adjacency payload *must* be 4-aligned; the offsets payload may sit at any
+//! position (an unknown section can push it off its entry width), in which
+//! case the reader copies that one section into an aligned buffer.
 //!
 //! **Checksum stability.** The checksum covers exactly the offsets and
 //! adjacency payload bytes — not the header, not the section table. A graph
@@ -86,11 +89,13 @@
 //! which also validates the [`FLAG_SORTED`] claim against the actual
 //! neighbor order.
 //!
-//! The in-memory hot/cold layout this format feeds is documented in
+//! The in-memory layout this format feeds is documented in
 //! `docs/layout.md` at the repository root.
 
+pub use crate::layout::{offsets_width, OffsetsWidth};
+
 use crate::layout::narrow_index;
-use crate::{CsrGraph, GraphError, GraphRef, VertexId};
+use crate::{CsrGraph, GraphError, GraphRef};
 use std::io::Write;
 use std::path::Path;
 
@@ -128,38 +133,6 @@ pub const FLAG_SORTED: u32 = 1 << 0;
 pub const FLAG_WIDE_OFFSETS: u32 = 1 << 1;
 
 const KNOWN_FLAGS: u32 = FLAG_SORTED | FLAG_WIDE_OFFSETS;
-
-/// Entry width of the offsets section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OffsetsWidth {
-    /// 4-byte offset entries; sufficient while every offset fits a `u32`.
-    U32,
-    /// 8-byte offset entries; required once offsets exceed `u32::MAX`.
-    U64,
-}
-
-impl OffsetsWidth {
-    /// Bytes per offset entry.
-    #[inline]
-    pub fn bytes(self) -> usize {
-        match self {
-            OffsetsWidth::U32 => 4,
-            OffsetsWidth::U64 => 8,
-        }
-    }
-}
-
-/// The index-width rule: offsets are stored as `u64` iff the directed edge
-/// count (the largest value the offsets array must represent) exceeds
-/// `u32::MAX`. Adjacency entries are always `u32` because vertex ids are.
-#[inline]
-pub fn offsets_width(num_directed_edges: u64) -> OffsetsWidth {
-    if num_directed_edges > u32::MAX as u64 {
-        OffsetsWidth::U64
-    } else {
-        OffsetsWidth::U32
-    }
-}
 
 /// The parsed fixed-size header of a binary CSR graph file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -492,23 +465,18 @@ pub fn is_binary_header(bytes: &[u8]) -> bool {
 /// live in — so the hash is a storage-independent identity for "the same
 /// graph bytes", usable as a cache key by serving layers.
 ///
-/// For an mmap-backed graph this is **zero-parse**: every input is already
-/// in the 48-byte header ([`content_hash_from_header`]), so hashing costs
-/// no page faults. A heap graph pays one `O(V + E)` checksum pass — the
-/// same pass `write_binary` (and therefore `chordal convert`) performs, so
-/// the hash of a parsed text file equals the hash of its converted binary.
+/// For an mmap-backed graph this is **zero-parse**: the checksum is the one
+/// its 48-byte header stores ([`content_hash_from_header`]), so hashing
+/// costs no page faults. A heap graph pays one `O(V + E)` checksum pass on
+/// first use — the same pass `write_binary` (and therefore `chordal
+/// convert`) performs, so the hash of a parsed text file equals the hash of
+/// its converted binary.
 pub fn content_hash<'a>(graph: impl Into<GraphRef<'a>>) -> u64 {
     let graph = graph.into();
-    let checksum = match graph {
-        GraphRef::Mapped(m) => m.header().checksum,
-        GraphRef::Heap(_) => {
-            checksum_sections(graph, offsets_width(graph.num_directed_edges() as u64))
-        }
-    };
     content_hash_parts(
         graph.num_vertices() as u64,
         graph.num_directed_edges() as u64,
-        checksum,
+        graph.checksum(),
     )
 }
 
@@ -536,27 +504,35 @@ fn content_hash_parts(num_vertices: u64, num_directed_edges: u64, checksum: u64)
     hasher.finish()
 }
 
-fn checksum_sections<'a>(graph: GraphRef<'a>, width: OffsetsWidth) -> u64 {
+/// FNV-1a 64 over a graph's canonical encoding — exactly the section payload
+/// bytes [`write_binary`] emits, whatever width or byte order the graph is
+/// held in.
+pub(crate) fn checksum_sections(graph: GraphRef<'_>) -> u64 {
     let mut hasher = Fnv1a::new();
-    let n = graph.num_vertices();
-    match width {
-        OffsetsWidth::U32 => {
-            for i in 0..=n {
-                hasher.update(&narrow_index(graph.adjacency_start(i)).to_le_bytes());
-            }
-        }
-        OffsetsWidth::U64 => {
-            for i in 0..=n {
-                hasher.update(&(graph.adjacency_start(i) as u64).to_le_bytes());
-            }
-        }
-    }
-    for v in 0..n {
-        for &w in graph.neighbors(v as VertexId) {
-            hasher.update(&w.to_le_bytes());
-        }
+    let Ok(()) = encode_offsets(graph, |bytes| {
+        hasher.update(bytes);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    for &w in graph.adjacency() {
+        hasher.update(&w.to_le_bytes());
     }
     hasher.finish()
+}
+
+/// Feeds `sink` each offset of `graph`, little-endian at the width
+/// [`offsets_width`] picks for its edge count: the offsets payload of the
+/// canonical encoding.
+fn encode_offsets<E>(
+    graph: GraphRef<'_>,
+    mut sink: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut starts = (0..=graph.num_vertices()).map(|i| graph.adjacency_start(i));
+    match offsets_width(graph.num_directed_edges() as u64) {
+        OffsetsWidth::U32 => starts
+            .map(narrow_index)
+            .try_for_each(|o| sink(&o.to_le_bytes())),
+        OffsetsWidth::U64 => starts.try_for_each(|o| sink(&(o as u64).to_le_bytes())),
+    }
 }
 
 /// Serialises the canonical v2 section table for a header: the two
@@ -593,36 +569,21 @@ pub fn write_binary<'a, W: Write>(
     writer: W,
 ) -> Result<(), GraphError> {
     let graph = graph.into();
-    let width = offsets_width(graph.num_directed_edges() as u64);
     let header = Header {
         version: FORMAT_VERSION,
         sorted: graph.is_sorted(),
-        width,
+        width: offsets_width(graph.num_directed_edges() as u64),
         num_vertices: graph.num_vertices() as u64,
         num_directed_edges: graph.num_directed_edges() as u64,
         num_canonical_edges: graph.num_canonical_edges() as u64,
-        checksum: checksum_sections(graph, width),
+        checksum: checksum_sections(graph),
     };
     let mut w = std::io::BufWriter::new(writer);
     w.write_all(&header.to_bytes())?;
     w.write_all(&section_table_bytes(&header))?;
-    let n = graph.num_vertices();
-    match width {
-        OffsetsWidth::U32 => {
-            for i in 0..=n {
-                w.write_all(&narrow_index(graph.adjacency_start(i)).to_le_bytes())?;
-            }
-        }
-        OffsetsWidth::U64 => {
-            for i in 0..=n {
-                w.write_all(&(graph.adjacency_start(i) as u64).to_le_bytes())?;
-            }
-        }
-    }
-    for v in 0..n {
-        for &nb in graph.neighbors(v as VertexId) {
-            w.write_all(&nb.to_le_bytes())?;
-        }
+    encode_offsets(graph, |bytes| w.write_all(bytes))?;
+    for &nb in graph.adjacency() {
+        w.write_all(&nb.to_le_bytes())?;
     }
     w.flush()?;
     Ok(())
@@ -709,15 +670,6 @@ mod tests {
         v1[8..12].copy_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
         v1.extend_from_slice(&v2[V2_PROLOGUE..]);
         v1
-    }
-
-    #[test]
-    fn width_rule_boundary() {
-        assert_eq!(offsets_width(0), OffsetsWidth::U32);
-        assert_eq!(offsets_width(u32::MAX as u64), OffsetsWidth::U32);
-        assert_eq!(offsets_width(u32::MAX as u64 + 1), OffsetsWidth::U64);
-        assert_eq!(OffsetsWidth::U32.bytes(), 4);
-        assert_eq!(OffsetsWidth::U64.bytes(), 8);
     }
 
     #[test]

@@ -1,22 +1,29 @@
 //! Memory-mapped binary CSR graphs.
 //!
 //! [`MmapCsrGraph`] opens a file in the [`format`](super::format) described
-//! layout and serves the neighbour/degree/canonical-edge surface of
-//! [`CsrGraph`] straight out of the mapping: the adjacency section is
-//! reinterpreted as a `&[u32]` slice (the format guarantees 4-byte
-//! alignment relative to the file start, and the kernel guarantees
-//! page-aligned mappings), offsets are decoded per lookup with unaligned
-//! little-endian loads. Nothing is materialised on the heap, so opening a
+//! layout and lends its two sections as a [`GraphRef`] — the same view a
+//! heap [`CsrGraph`] lends — straight out of the mapping: the offsets
+//! section is reinterpreted as `&[u32]` or `&[u64]` and the adjacency
+//! section as `&[u32]` (the format guarantees the adjacency is 4-aligned
+//! relative to the file start, and the kernel guarantees page-aligned
+//! mappings). Nothing is materialised on the heap, so opening a
 //! multi-gigabyte graph costs a header parse plus an `O(V)` structural
 //! validation pass over the offsets — the adjacency pages fault in lazily
 //! as extraction touches them.
 //!
-//! On big-endian hosts (or when the mmap shim falls back to a heap read
-//! that happens to be misaligned) the file is copied into an 8-aligned
-//! owned buffer, byte-swapping where needed; the public API is identical.
+//! Three cases pay a copy; the view is identical either way:
+//! * the mmap shim falls back to a heap read that happens to be misaligned —
+//!   the file is copied into an 8-aligned buffer;
+//! * the offsets payload sits at a position that is not a multiple of its
+//!   entry width (v2 allows it; the writers never emit it) — that section
+//!   alone is copied into an aligned vector;
+//! * big-endian hosts — the file is copied and both sections are swapped to
+//!   native order.
 
-use super::format::{Header, OffsetsWidth, SectionLayout};
-use crate::{CsrGraph, Edge, EdgeList, GraphError, VertexId};
+use super::format::{Header, SectionLayout};
+use crate::graphref::Derived;
+use crate::layout::{OffsetBuf, Offsets, OffsetsWidth};
+use crate::{CsrGraph, GraphError, GraphRef};
 use memmap2::Mmap;
 use std::fs::File;
 use std::path::Path;
@@ -68,17 +75,47 @@ impl Backing {
     }
 }
 
+/// Integer types a section may be reinterpreted as: every bit pattern is a
+/// valid value.
+trait SectionEntry: Copy {}
+impl SectionEntry for u32 {}
+impl SectionEntry for u64 {}
+
+/// Reinterprets a native-order section as a typed slice.
+///
+/// # Panics
+/// If `bytes` is not aligned for `T` — [`MmapCsrGraph::from_file`] makes
+/// sure every section it casts is.
+#[inline]
+fn typed<T: SectionEntry>(bytes: &[u8]) -> &[T] {
+    assert!((bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()));
+    // SAFETY: the pointer is aligned for `T` (asserted above), the length
+    // is rounded down to whole entries inside `bytes`, and `T` is a plain
+    // integer for which every bit pattern is valid.
+    unsafe {
+        std::slice::from_raw_parts(
+            bytes.as_ptr() as *const T,
+            bytes.len() / std::mem::size_of::<T>(),
+        )
+    }
+}
+
 /// A read-only CSR graph served directly from a binary graph file.
 ///
-/// Exposes the same read surface as [`CsrGraph`] (neighbours, degrees,
-/// edge counts, `has_edge`, edge iteration), so every extractor runs on it
-/// unchanged through [`GraphRef`](crate::GraphRef). The canonical edge
-/// count is `O(1)` — it is stored in the file header rather than recomputed.
+/// Every read goes through [`MmapCsrGraph::view`], the same [`GraphRef`] a
+/// heap [`CsrGraph`] lends, so every extractor runs on it unchanged. The
+/// canonical edge count is `O(1)` — it is stored in the file header rather
+/// than recomputed.
 #[derive(Debug)]
 pub struct MmapCsrGraph {
     backing: Backing,
     header: Header,
     layout: SectionLayout,
+    /// Native-order copy of the offsets section, made at open only when the
+    /// section is not aligned to its entry width in memory.
+    offsets_copy: Option<OffsetBuf>,
+    /// Canonical edge count and checksum, filled from the header at open.
+    derived: Derived,
 }
 
 impl MmapCsrGraph {
@@ -107,24 +144,45 @@ impl MmapCsrGraph {
         let backing = Self::normalize(map)?;
         let header = Header::parse(backing.bytes())?;
         let layout = SectionLayout::locate(&header, backing.bytes())?;
+        let offsets = &backing.bytes()[layout.offsets_pos..][..header.offsets_len()];
+        let offsets_copy = (!(offsets.as_ptr() as usize).is_multiple_of(header.width.bytes()))
+            .then(|| match header.width {
+                OffsetsWidth::U32 => OffsetBuf::U32(
+                    offsets
+                        .chunks_exact(4)
+                        .map(|c| u32::from_ne_bytes(c.try_into().unwrap()))
+                        .collect(),
+                ),
+                OffsetsWidth::U64 => OffsetBuf::wide(
+                    offsets
+                        .chunks_exact(8)
+                        .map(|c| u64::from_ne_bytes(c.try_into().unwrap())),
+                ),
+            });
+        let derived = Derived {
+            canonical_edges: (header.num_canonical_edges as usize).into(),
+            checksum: header.checksum.into(),
+        };
         let graph = MmapCsrGraph {
             backing,
             header,
             layout,
+            offsets_copy,
+            derived,
         };
         graph.validate_offsets()?;
         Ok(graph)
     }
 
-    /// Turns the raw mapping into a backing whose adjacency section can be
-    /// reinterpreted as native-endian `&[u32]` in place.
+    /// Turns the raw mapping into a backing whose sections can be
+    /// reinterpreted as native-endian typed slices in place.
     fn normalize(map: Mmap) -> Result<Backing, GraphError> {
         #[cfg(target_endian = "little")]
         {
-            // The sections sit at 4-aligned file offsets, so 4-alignment of
-            // the base pointer is all the adjacency cast needs. Kernel
-            // mappings are page-aligned; only the shim's heap fallback can
-            // ever be misaligned, and then we pay one copy.
+            // The adjacency sits at a 4-aligned file offset, so 4-alignment
+            // of the base pointer is all its cast needs. Kernel mappings are
+            // page-aligned; only the shim's heap fallback can ever be
+            // misaligned, and then we pay one copy.
             if (map.as_ptr() as usize).is_multiple_of(4) {
                 Ok(Backing::Mapped(map))
             } else {
@@ -133,9 +191,8 @@ impl MmapCsrGraph {
         }
         #[cfg(target_endian = "big")]
         {
-            // The file stores little-endian sections; swap the adjacency
-            // section into native order once so the hot accessors stay
-            // cast-based.
+            // The file stores little-endian sections; swap both into native
+            // order once so the view stays cast-based.
             let header = Header::parse(&map)?;
             let layout = SectionLayout::locate(&header, &map)?;
             let mut owned = AlignedBytes::from_slice(&map);
@@ -145,32 +202,40 @@ impl MmapCsrGraph {
             // SAFETY: `owned` is uniquely held, so nothing aliases it.
             let bytes =
                 unsafe { std::slice::from_raw_parts_mut(owned.buf.as_mut_ptr() as *mut u8, len) };
-            let adj =
-                &mut bytes[layout.adjacency_pos..layout.adjacency_pos + header.adjacency_len()];
-            for chunk in adj.chunks_exact_mut(4) {
-                chunk.reverse();
+            for (pos, section_len, entry) in [
+                (
+                    layout.offsets_pos,
+                    header.offsets_len(),
+                    header.width.bytes(),
+                ),
+                (layout.adjacency_pos, header.adjacency_len(), 4),
+            ] {
+                for chunk in bytes[pos..pos + section_len].chunks_exact_mut(entry) {
+                    chunk.reverse();
+                }
             }
             Ok(Backing::Owned(owned))
         }
     }
 
     fn validate_offsets(&self) -> Result<(), GraphError> {
-        let n = self.num_vertices();
-        if self.adjacency_start(0) != 0 {
+        let view = self.view();
+        let n = view.num_vertices();
+        if view.adjacency_start(0) != 0 {
             return Err(GraphError::Format(
                 "offsets section must start at 0".to_string(),
             ));
         }
-        if self.adjacency_start(n) != self.header.num_directed_edges as usize {
+        if view.adjacency_start(n) != view.num_directed_edges() {
             return Err(GraphError::Format(format!(
                 "last offset {} does not match the directed edge count {}",
-                self.adjacency_start(n),
-                self.header.num_directed_edges
+                view.adjacency_start(n),
+                view.num_directed_edges()
             )));
         }
         let mut prev = 0usize;
         for i in 1..=n {
-            let cur = self.adjacency_start(i);
+            let cur = view.adjacency_start(i);
             if cur < prev {
                 return Err(GraphError::Format(format!(
                     "offsets must be non-decreasing (offset {i} is {cur}, previous {prev})"
@@ -187,207 +252,71 @@ impl MmapCsrGraph {
         &self.header
     }
 
-    /// Number of vertices.
+    /// The borrowed view every read goes through.
     #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.header.num_vertices as usize
-    }
-
-    /// Number of undirected edges as half the stored adjacency entries.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.num_directed_edges() / 2
-    }
-
-    /// Number of distinct undirected, non-loop edges — `O(1)`, read from
-    /// the file header (the writer computes it once at conversion time).
-    #[inline]
-    pub fn num_canonical_edges(&self) -> usize {
-        self.header.num_canonical_edges as usize
-    }
-
-    /// Number of directed adjacency entries (twice the edge count).
-    #[inline]
-    pub fn num_directed_edges(&self) -> usize {
-        self.header.num_directed_edges as usize
-    }
-
-    /// Sum of all degrees (equals `num_directed_edges`).
-    #[inline]
-    pub fn total_degree(&self) -> usize {
-        self.num_directed_edges()
-    }
-
-    /// Start of vertex `i`'s adjacency range; valid for `i` in
-    /// `0..=num_vertices()`. Decoded from the offsets section with an
-    /// unaligned load — no offset array is materialised.
-    #[inline]
-    pub fn adjacency_start(&self, i: usize) -> usize {
-        debug_assert!(i <= self.num_vertices());
+    pub fn view(&self) -> GraphRef<'_> {
         let bytes = self.backing.bytes();
-        match self.header.width {
-            OffsetsWidth::U32 => {
-                let at = self.layout.offsets_pos + 4 * i;
-                u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+        let offsets = match &self.offsets_copy {
+            Some(copy) => copy.view(),
+            None => {
+                let section = &bytes[self.layout.offsets_pos..][..self.header.offsets_len()];
+                match self.header.width {
+                    OffsetsWidth::U32 => Offsets::U32(typed(section)),
+                    OffsetsWidth::U64 => Offsets::U64(typed(section)),
+                }
             }
-            OffsetsWidth::U64 => {
-                let at = self.layout.offsets_pos + 8 * i;
-                u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
-            }
-        }
-    }
-
-    /// Degree of vertex `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        self.adjacency_start(v + 1) - self.adjacency_start(v)
-    }
-
-    /// The whole adjacency section as a typed slice into the mapping.
-    #[inline]
-    pub fn adjacency(&self) -> &[VertexId] {
-        let bytes = &self.backing.bytes()
-            [self.layout.adjacency_pos..self.layout.adjacency_pos + self.header.adjacency_len()];
-        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
-        // SAFETY: construction guarantees a 4-aligned base (normalize plus
-        // the section table's alignment rule), native-endian u32 contents,
-        // and exactly num_directed_edges entries (section-length check).
-        unsafe {
-            std::slice::from_raw_parts(
-                bytes.as_ptr() as *const VertexId,
-                self.header.num_directed_edges as usize,
-            )
-        }
-    }
-
-    /// Neighbours of `v` as a slice into the mapping.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let s = self.adjacency_start(v as usize);
-        let e = self.adjacency_start(v as usize + 1);
-        &self.adjacency()[s..e]
-    }
-
-    /// Whether every adjacency list is sorted ascending (from the header;
-    /// the streaming converter and binary writer always record this
-    /// truthfully).
-    #[inline]
-    pub fn is_sorted(&self) -> bool {
-        self.header.sorted
-    }
-
-    /// Tests whether the edge `{u, v}` exists. Binary search when the
-    /// adjacency is sorted, linear scan otherwise — same policy as
-    /// [`CsrGraph::has_edge`].
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.num_vertices() || v as usize >= self.num_vertices() {
-            return false;
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
         };
-        let adj = self.neighbors(a);
-        if self.is_sorted() {
-            adj.binary_search(&b).is_ok()
-        } else {
-            adj.contains(&b)
-        }
-    }
-
-    /// Maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|v| self.adjacency_start(v + 1) - self.adjacency_start(v))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterates over every undirected edge once, in canonical orientation
-    /// `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.num_vertices() as VertexId).flat_map(move |u| {
-            self.neighbors(u)
-                .iter()
-                .copied()
-                .filter(move |&v| u < v)
-                .map(move |v| (u, v))
-        })
-    }
-
-    /// Collects every undirected edge into an [`EdgeList`] (canonical form).
-    pub fn to_edge_list(&self) -> EdgeList {
-        let mut el = EdgeList::with_capacity(self.num_vertices(), self.num_edges());
-        for (u, v) in self.edges() {
-            el.push(u, v);
-        }
-        el
+        let adjacency = typed(&bytes[self.layout.adjacency_pos..][..self.header.adjacency_len()]);
+        GraphRef::new(offsets, adjacency, self.header.sorted, &self.derived)
     }
 
     /// Materialises the graph as a heap [`CsrGraph`] (copying both
     /// sections out of the mapping). Used when a consumer genuinely needs
     /// an owned graph — e.g. re-sorting adjacency for the Opt variant.
     pub fn to_csr_graph(&self) -> CsrGraph {
-        let n = self.num_vertices();
-        let offsets: Vec<usize> = (0..=n).map(|i| self.adjacency_start(i)).collect();
-        let neighbors = self.adjacency().to_vec();
-        CsrGraph::from_parts(n, offsets, neighbors)
-            .expect("a structurally validated mapping is valid CSR input")
+        self.view().to_csr_graph()
     }
 
-    /// Recomputes the FNV-1a checksum over the offsets and adjacency
-    /// sections and compares it against the header, then — if the header
-    /// claims sorted adjacency ([`FLAG_SORTED`](super::format::FLAG_SORTED))
-    /// — validates that every neighbor list really is sorted ascending,
-    /// rejecting a lying flag with [`GraphError::SortedFlagViolation`].
-    /// The flag check piggybacks on the checksum walk: the adjacency pages
-    /// are already resident, so it adds no extra I/O. `O(file size)`;
-    /// faults in every page.
+    /// Validates the data sections in one walk:
+    ///
+    /// * recomputes the FNV-1a checksum over the offsets and adjacency
+    ///   sections and compares it against the header;
+    /// * rejects any neighbor id `>= num_vertices` with
+    ///   [`GraphError::VertexOutOfRange`] — a checksum only proves the bytes
+    ///   are the ones the writer hashed, and an out-of-range id would index
+    ///   past every per-vertex array downstream;
+    /// * if the header claims sorted adjacency
+    ///   ([`FLAG_SORTED`](super::format::FLAG_SORTED)), checks that every
+    ///   neighbor list really is sorted ascending, rejecting a lying flag
+    ///   with [`GraphError::SortedFlagViolation`].
+    ///
+    /// The id and order checks piggyback on the checksum walk: the
+    /// adjacency pages are already resident, so they add no extra I/O.
+    /// `O(file size)`; faults in every page.
     pub fn verify_checksum(&self) -> Result<(), GraphError> {
-        let mut hasher = super::format::Fnv1a::new();
-        let bytes = self.backing.bytes();
-        let offsets =
-            &bytes[self.layout.offsets_pos..self.layout.offsets_pos + self.header.offsets_len()];
-        #[cfg(target_endian = "little")]
-        {
-            hasher.update(offsets);
-            hasher.update(
-                &bytes[self.layout.adjacency_pos
-                    ..self.layout.adjacency_pos + self.header.adjacency_len()],
-            );
-        }
-        #[cfg(target_endian = "big")]
-        {
-            // The in-memory adjacency was byte-swapped to native order at
-            // load; hash the on-disk (little-endian) representation.
-            hasher.update(offsets);
-            for &v in self.adjacency() {
-                hasher.update(&v.to_le_bytes());
-            }
-        }
-        let computed = hasher.finish();
+        let view = self.view();
+        let computed = super::format::checksum_sections(view);
         if computed != self.header.checksum {
             return Err(GraphError::Format(format!(
                 "checksum mismatch: header says {:#018x}, data hashes to {computed:#018x}",
                 self.header.checksum
             )));
         }
-        // The checksum only proves the bytes are the ones the writer hashed
-        // — not that the writer told the truth about their order. A wrong
-        // sorted claim silently breaks every binary-search lookup, so the
-        // verification pass (cache admission, `convert --verify`) checks it
-        // while the pages are still warm.
-        if self.header.sorted {
-            for v in 0..self.num_vertices() as VertexId {
-                let adj = self.neighbors(v);
-                if let Some(pos) = (1..adj.len()).find(|&i| adj[i] < adj[i - 1]) {
-                    return Err(GraphError::SortedFlagViolation {
-                        vertex: v as u64,
-                        position: pos,
-                    });
-                }
+        let n = view.num_vertices();
+        if let Some(&bad) = view.adjacency().iter().find(|&&w| w as usize >= n) {
+            return Err(GraphError::VertexOutOfRange {
+                vertex: bad as u64,
+                num_vertices: n as u64,
+            });
+        }
+        // A wrong sorted claim silently breaks every binary-search lookup,
+        // so the verification pass checks it while the pages are warm.
+        if view.is_sorted() {
+            if let Some((vertex, position)) = view.first_unsorted() {
+                return Err(GraphError::SortedFlagViolation {
+                    vertex: vertex as u64,
+                    position,
+                });
             }
         }
         Ok(())
@@ -396,8 +325,12 @@ impl MmapCsrGraph {
 
 #[cfg(test)]
 mod tests {
-    use super::super::format::{write_binary_file, FORMAT_VERSION_V1, HEADER_LEN};
+    use super::super::format::{
+        content_hash, write_binary, write_binary_file, FORMAT_VERSION_V1, HEADER_LEN,
+        SECTION_ADJACENCY, SECTION_ENTRY_LEN, SECTION_OFFSETS,
+    };
     use super::*;
+    use crate::VertexId;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("chordal_mmap_{}_{name}.bin", std::process::id()))
@@ -414,31 +347,52 @@ mod tests {
     }
 
     #[test]
-    fn mapped_graph_mirrors_heap_surface() {
+    fn misaligned_offsets_section_is_copied_and_reads_identically() {
         let g = sample();
-        let path = temp_path("mirror");
-        write_binary_file(&g, &path).unwrap();
+        let mut v2 = Vec::new();
+        write_binary(&g, &mut v2).unwrap();
+        let header = Header::parse(&v2).unwrap();
+        let at = offsets_pos(&v2);
+        let offsets = &v2[at..at + header.offsets_len()];
+        let adjacency = &v2[at + header.offsets_len()..];
+        // Re-lay the file with two 2-byte unknown sections: the first pushes
+        // the offsets payload off 4-alignment, the second restores it for the
+        // adjacency payload.
+        let table_end = HEADER_LEN + 8 + 4 * SECTION_ENTRY_LEN;
+        let offsets_at = table_end + 2;
+        let pad_at = offsets_at + offsets.len();
+        let adjacency_at = pad_at + 2;
+        assert!(!offsets_at.is_multiple_of(4) && adjacency_at.is_multiple_of(4));
+        let mut file = v2[..HEADER_LEN].to_vec();
+        file.extend_from_slice(&4u32.to_le_bytes());
+        file.extend_from_slice(&0u32.to_le_bytes());
+        for (id, pos, len) in [
+            (0xa, table_end, 2),
+            (SECTION_OFFSETS, offsets_at, offsets.len()),
+            (0xb, pad_at, 2),
+            (SECTION_ADJACENCY, adjacency_at, adjacency.len()),
+        ] {
+            for field in [id, pos as u64, len as u64] {
+                file.extend_from_slice(&field.to_le_bytes());
+            }
+        }
+        file.extend_from_slice(&[0xaa; 2]);
+        file.extend_from_slice(offsets);
+        file.extend_from_slice(&[0xbb; 2]);
+        file.extend_from_slice(adjacency);
+        let path = temp_path("misaligned");
+        std::fs::write(&path, &file).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
-        assert_eq!(m.num_vertices(), g.num_vertices());
-        assert_eq!(m.num_edges(), g.num_edges());
-        assert_eq!(m.num_directed_edges(), g.num_directed_edges());
-        assert_eq!(m.num_canonical_edges(), g.num_canonical_edges());
-        assert_eq!(m.total_degree(), g.total_degree());
-        assert_eq!(m.is_sorted(), g.is_sorted());
-        assert_eq!(m.max_degree(), g.max_degree());
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(m.degree(v), g.degree(v));
-            assert_eq!(m.neighbors(v), g.neighbors(v));
-        }
-        for i in 0..=g.num_vertices() {
-            assert_eq!(m.adjacency_start(i), g.adjacency_start(i));
-        }
-        assert_eq!(m.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
-        assert!(m.has_edge(0, 5));
-        assert!(!m.has_edge(1, 5));
-        assert!(!m.has_edge(0, 99));
-        assert_eq!(m.to_csr_graph(), g);
+        assert!(
+            m.offsets_copy.is_some(),
+            "misaligned offsets must be copied"
+        );
         m.verify_checksum().unwrap();
+        assert_eq!(m.to_csr_graph(), g);
+        for v in 0..g.num_vertices() as VertexId {
+            assert_eq!(m.view().neighbors(v), g.neighbors(v));
+        }
+        assert_eq!(content_hash(&m), content_hash(&g));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -490,9 +444,9 @@ mod tests {
         let path = temp_path("empty");
         write_binary_file(&g, &path).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
-        assert_eq!(m.num_vertices(), 4);
-        assert_eq!(m.num_edges(), 0);
-        assert_eq!(m.neighbors(2), &[] as &[VertexId]);
+        assert_eq!(m.view().num_vertices(), 4);
+        assert_eq!(m.view().num_edges(), 0);
+        assert_eq!(m.view().neighbors(2), &[] as &[VertexId]);
         assert_eq!(m.to_csr_graph(), g);
         let _ = std::fs::remove_file(&path);
     }
@@ -502,7 +456,8 @@ mod tests {
         let g = sample().with_scrambled_adjacency(5);
         let path = temp_path("unsorted");
         write_binary_file(&g, &path).unwrap();
-        let m = MmapCsrGraph::open(&path).unwrap();
+        let mapped = MmapCsrGraph::open(&path).unwrap();
+        let m = mapped.view();
         assert!(!m.is_sorted());
         for v in 0..g.num_vertices() as VertexId {
             assert_eq!(m.neighbors(v), g.neighbors(v));
@@ -552,7 +507,7 @@ mod tests {
         bytes[12..16].copy_from_slice(&(flags | 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
-        assert!(m.is_sorted(), "doctored header should claim sorted");
+        assert!(m.view().is_sorted(), "doctored header should claim sorted");
         let err = m.verify_checksum().unwrap_err();
         assert!(
             matches!(err, GraphError::SortedFlagViolation { .. }),

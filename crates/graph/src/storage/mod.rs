@@ -6,9 +6,10 @@
 //! * [`format`] — the versioned little-endian `CHRDLCSR` on-disk layout
 //!   (full specification in its module docs), plus an in-memory
 //!   writer/reader pair.
-//! * [`mmap`] — [`MmapCsrGraph`], which serves the [`CsrGraph`] read
-//!   surface directly out of a memory-mapped file; adjacency pages fault
-//!   in lazily, so load time is `O(V)` validation instead of `O(E)` parse.
+//! * [`mmap`] — [`MmapCsrGraph`], which lends the same [`GraphRef`] view a
+//!   [`CsrGraph`] does, directly out of a memory-mapped file; adjacency
+//!   pages fault in lazily, so load time is `O(V)` validation instead of
+//!   `O(E)` parse.
 //! * [`stream`] — [`convert_edge_list_to_binary`], a spill-to-disk
 //!   converter that turns arbitrarily large text edge lists into binary
 //!   files using bounded memory.
@@ -93,12 +94,13 @@ pub enum LoadedGraph {
 }
 
 impl LoadedGraph {
-    /// A storage-agnostic view of the loaded graph.
+    /// The borrowed view of the loaded graph, lent by whichever owner
+    /// holds it.
     #[inline]
     pub fn as_graph_ref(&self) -> GraphRef<'_> {
         match self {
-            LoadedGraph::Heap(g) => GraphRef::Heap(g),
-            LoadedGraph::Mapped(g) => GraphRef::Mapped(g),
+            LoadedGraph::Heap(g) => g.view(),
+            LoadedGraph::Mapped(g) => g.view(),
         }
     }
 

@@ -101,6 +101,12 @@ pub fn convert_edge_list_to_binary_with<P: AsRef<Path>, Q: AsRef<Path>>(
 ) -> Result<ConvertStats, GraphError> {
     let input = input.as_ref();
     let output = output.as_ref();
+    if super::detect_format(input)? == super::FileFormat::Binary {
+        return Err(GraphError::Format(format!(
+            "{} is already a binary CSR graph; convert takes a text edge list",
+            input.display()
+        )));
+    }
     let mut temps = TempFiles(Vec::new());
 
     // Pass 1: raw degrees and vertex count. Self loops are dropped (they
@@ -398,7 +404,10 @@ mod tests {
         let mapped = MmapCsrGraph::open(&bin).unwrap();
         let heap = read_edge_list_file(&txt).unwrap();
         assert_eq!(mapped.to_csr_graph(), heap);
-        assert_eq!(mapped.num_canonical_edges(), heap.num_canonical_edges());
+        assert_eq!(
+            mapped.view().num_canonical_edges(),
+            heap.num_canonical_edges()
+        );
         mapped.verify_checksum().unwrap();
         let _ = std::fs::remove_file(&txt);
         let _ = std::fs::remove_file(&bin);
@@ -413,7 +422,7 @@ mod tests {
         assert_eq!(stats.num_vertices, 0);
         assert_eq!(stats.num_directed_edges, 0);
         let mapped = MmapCsrGraph::open(&bin).unwrap();
-        assert_eq!(mapped.num_vertices(), 0);
+        assert_eq!(mapped.view().num_vertices(), 0);
         let _ = std::fs::remove_file(&txt);
         let _ = std::fs::remove_file(&bin);
     }
@@ -430,6 +439,24 @@ mod tests {
         );
         let _ = std::fs::remove_file(&txt);
         let _ = std::fs::remove_file(&bin);
+    }
+
+    #[test]
+    fn binary_input_is_rejected_with_a_typed_error() {
+        let txt = temp_path("twice.txt");
+        let bin = temp_path("twice.bin");
+        let again = temp_path("twice_again.bin");
+        messy_text(&txt);
+        convert_edge_list_to_binary(&txt, &bin).unwrap();
+        let err = convert_edge_list_to_binary(&bin, &again).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::Format(m) if m.contains("already a binary CSR graph")),
+            "{err:?}"
+        );
+        assert!(!again.exists(), "nothing is written for a rejected input");
+        for p in [&txt, &bin] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]

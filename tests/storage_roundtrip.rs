@@ -13,9 +13,10 @@
 
 use maximal_chordal::core::repair::repair_maximality;
 use maximal_chordal::graph::storage::{
-    convert_edge_list_to_binary, detect_format, load_graph, FileFormat, LoadedGraph, MmapCsrGraph,
+    convert_edge_list_to_binary, detect_format, load_graph, FileFormat, Header, LoadedGraph,
+    MmapCsrGraph, SectionLayout,
 };
-use maximal_chordal::graph::{io::write_edge_list_file, CsrGraph, GraphRef};
+use maximal_chordal::graph::{io::write_edge_list_file, CsrGraph, GraphError, GraphRef};
 use maximal_chordal::prelude::*;
 
 /// Text + binary on-disk copies of a generated graph, removed on drop.
@@ -214,4 +215,34 @@ fn loader_rejects_corrupt_truncated_and_wrong_version_files() {
         assert!(mapped.verify_checksum().is_err());
     }
     let _ = std::fs::remove_file(&corrupt);
+
+    // One neighbor id equal to num_vertices, behind a *valid* recomputed
+    // checksum: the last adjacency entry is its list's maximum, so the list
+    // stays sorted and only the id-range check can reject it.
+    let out_of_range = dir.join(format!("chordal_roundtrip_{pid}_out_of_range.bin"));
+    let mut copy = bytes.clone();
+    let header = Header::parse(&copy).unwrap();
+    let layout = SectionLayout::locate(&header, &copy).unwrap();
+    let adjacency_end = layout.adjacency_pos + header.adjacency_len();
+    let n = header.num_vertices as u32;
+    copy[adjacency_end - 4..adjacency_end].copy_from_slice(&n.to_le_bytes());
+    let mut checksum: u64 = 0xcbf2_9ce4_8422_2325;
+    for section in [
+        layout.offsets_pos..layout.offsets_pos + header.offsets_len(),
+        layout.adjacency_pos..adjacency_end,
+    ] {
+        for &b in &copy[section] {
+            checksum = (checksum ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    copy[40..48].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&out_of_range, &copy).unwrap();
+    let mapped = MmapCsrGraph::open(&out_of_range).expect("structurally valid");
+    let err = mapped.verify_checksum().unwrap_err();
+    assert!(
+        matches!(err, GraphError::VertexOutOfRange { vertex, num_vertices }
+            if vertex == n as u64 && num_vertices == n as u64),
+        "{err:?}"
+    );
+    let _ = std::fs::remove_file(&out_of_range);
 }
