@@ -12,6 +12,9 @@
 //! repair-only seconds next to the base extraction seconds, plus the
 //! workspace's allocation-growth delta across the timed repairs — the
 //! machine-checked contract that repeated repairs are allocation-free.
+//! An RMAT-B point covers the skewed case, where the greedy repair takes
+//! several passes. Every point names the host's CPU count and the measured
+//! tree's git revision.
 
 use super::HarnessOptions;
 use crate::records::RepairPoint;
@@ -27,7 +30,7 @@ use chordal_graph::CsrGraph;
 /// baseline is only run on the small graph.
 pub const LARGE_GRAPH_MIN_EDGES: usize = 100_000;
 
-/// R-MAT scale of the benchmark-scale point (edge factor 8 puts scale 14
+/// R-MAT scale of the benchmark-scale points (edge factor 8 puts scale 14
 /// comfortably above [`LARGE_GRAPH_MIN_EDGES`] after deduplication).
 const LARGE_SCALE: u32 = 14;
 
@@ -51,32 +54,46 @@ fn workloads(options: &HarnessOptions) -> Vec<RepairWorkload> {
     let small_scale = if options.quick { 7 } else { 10 };
     let (small, small_ns) =
         timed_generate(RmatParams::preset(RmatKind::G, small_scale, SUITE_SEED));
-    let (large, large_ns) =
-        timed_generate(RmatParams::preset(RmatKind::Er, LARGE_SCALE, SUITE_SEED));
-    assert!(
-        large.num_edges() >= LARGE_GRAPH_MIN_EDGES,
-        "benchmark-scale repair point must cover >= {LARGE_GRAPH_MIN_EDGES} edges, got {}",
-        large.num_edges()
-    );
-    vec![
-        RepairWorkload {
-            name: format!("RMAT-G({small_scale})"),
-            graph: small,
-            scratch_too: true,
-            load_ns: small_ns,
-        },
-        RepairWorkload {
-            name: format!("RMAT-ER({LARGE_SCALE})"),
+    let mut workloads = vec![RepairWorkload {
+        name: format!("RMAT-G({small_scale})"),
+        graph: small,
+        scratch_too: true,
+        load_ns: small_ns,
+    }];
+    for (kind, label) in [(RmatKind::Er, "ER"), (RmatKind::B, "B")] {
+        let (large, large_ns) = timed_generate(RmatParams::preset(kind, LARGE_SCALE, SUITE_SEED));
+        assert!(
+            large.num_edges() >= LARGE_GRAPH_MIN_EDGES,
+            "benchmark-scale repair point must cover >= {LARGE_GRAPH_MIN_EDGES} edges, got {}",
+            large.num_edges()
+        );
+        workloads.push(RepairWorkload {
+            name: format!("RMAT-{label}({LARGE_SCALE})"),
             graph: large,
             scratch_too: false,
             load_ns: large_ns,
-        },
-    ]
+        });
+    }
+    workloads
+}
+
+/// `git describe --always --dirty` of the source tree, or `"unknown"`.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string())
 }
 
 /// Runs the ablation and returns one point per graph × strategy.
 pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
     let repeats = options.repeats.max(1);
+    let host_cpus = chordal_runtime::available_threads();
+    let git_rev = git_rev();
     let mut points = Vec::new();
     for workload in workloads(options) {
         let graph = &workload.graph;
@@ -142,6 +159,8 @@ pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
                 workspace_bytes: workspace.allocated_bytes(),
                 allocations_delta: workspace.allocations() - allocations,
                 load_ns: workload.load_ns,
+                host_cpus,
+                git_rev: git_rev.clone(),
             });
         }
     }
@@ -191,8 +210,8 @@ mod tests {
     fn ablation_covers_benchmark_scale_and_strategies_agree() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        // Small graph under both strategies, large graph incremental only.
-        assert_eq!(points.len(), 3);
+        // Small graph under both strategies, large graphs incremental only.
+        assert_eq!(points.len(), 4);
         let small: Vec<_> = points
             .iter()
             .filter(|p| p.graph.starts_with("RMAT-G"))
@@ -204,17 +223,20 @@ mod tests {
         );
         assert_eq!(small[0].added, small[1].added);
         assert_eq!(small[0].examined, small[1].examined);
-        let large = points
-            .iter()
-            .find(|p| p.graph.starts_with("RMAT-ER"))
-            .expect("benchmark-scale point");
-        assert_eq!(large.strategy, "incremental");
-        assert!(
-            large.graph_edges >= LARGE_GRAPH_MIN_EDGES,
-            "the incremental strategy must complete on a >= 100k-edge graph"
-        );
-        assert!(large.repaired_edges >= large.base_edges);
+        for family in ["RMAT-ER", "RMAT-B"] {
+            let large = points
+                .iter()
+                .find(|p| p.graph.starts_with(family))
+                .expect("benchmark-scale point");
+            assert_eq!(large.strategy, "incremental");
+            assert!(
+                large.graph_edges >= LARGE_GRAPH_MIN_EDGES,
+                "the incremental strategy must complete on a >= 100k-edge graph"
+            );
+            assert!(large.repaired_edges >= large.base_edges);
+        }
         for p in &points {
+            assert!(p.host_cpus >= 1 && !p.git_rev.is_empty());
             assert!(p.repair_seconds > 0.0);
             assert!(
                 p.load_ns > 0,

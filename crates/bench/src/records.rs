@@ -158,6 +158,11 @@ pub struct RepairPoint {
     /// separated from the extract/repair timings so cold-start cost stays
     /// visible.
     pub load_ns: u64,
+    /// CPUs available to the process on the measuring host.
+    pub host_cpus: usize,
+    /// `git describe --always --dirty` of the measured tree (`"unknown"`
+    /// outside a git checkout).
+    pub git_rev: String,
 }
 
 impl_to_json!(RepairPoint {
@@ -174,6 +179,8 @@ impl_to_json!(RepairPoint {
     workspace_bytes,
     allocations_delta,
     load_ns,
+    host_cpus,
+    git_rev,
 });
 
 /// One cold-start point of the `storage` experiment: the same graph loaded
@@ -457,9 +464,13 @@ mod tests {
             workspace_bytes: 1_048_576,
             allocations_delta: 0,
             load_ns: 2_000_000,
+            host_cpus: 2,
+            git_rev: "abc123".into(),
         };
         let json = p.to_json();
         assert!(json.contains("\"experiment\":\"repair\""));
+        assert!(json.contains("\"host_cpus\":2"));
+        assert!(json.contains("\"git_rev\":\"abc123\""));
         assert!(json.contains("\"strategy\":\"incremental\""));
         assert!(json.contains("\"graph_edges\":131000"));
         assert!(json.contains("\"allocations_delta\":0"));

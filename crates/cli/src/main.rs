@@ -242,8 +242,9 @@ fn requested_format(flags: &Flags) -> Result<Option<FileFormat>, ExtractError> {
 /// Loads a graph in whichever on-disk format it uses: text edge lists
 /// parse into heap CSR, binary CSR files are memory-mapped and then
 /// validated in full ([`MmapCsrGraph::verify_checksum`]: checksum, neighbor
-/// id range, sorted flag), so a hostile file ends in a typed error rather
-/// than an out-of-bounds index downstream.
+/// id range, self-loops, duplicates, sorted flag and, for sorted files,
+/// symmetry), so a hostile file ends in a typed error rather than an
+/// out-of-bounds index or a silently wrong answer downstream.
 fn load_input(path: &str, format: Option<FileFormat>) -> Result<LoadedGraph, ExtractError> {
     let loaded = chordal_graph::storage::load_graph(path, format)
         .map_err(|e| ExtractError::io(format!("reading {path}"), e))?;

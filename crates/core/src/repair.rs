@@ -22,12 +22,44 @@
 //!   benchmark scale.
 //! * [`RepairStrategy::Scratch`] re-verifies chordality from scratch after
 //!   every tentative addition (`O(V + E log Δ)` per candidate, quadratic
-//!   over a pass). It is kept as the differential-testing baseline; both
-//!   strategies scan the same candidates in the same order and accept
-//!   exactly the same edges, so their outputs are identical.
+//!   over a pass), and re-tests every rejected candidate on every pass. It
+//!   is kept as the differential-testing baseline: both strategies scan
+//!   candidates in the same order and accept exactly the same edges, so
+//!   their outputs are identical.
 //!
 //! Both strategies run through one greedy driver whose scratch state lives
 //! in the [`Workspace`], so repeated repairs reuse allocations.
+//!
+//! # Which rejected candidates a later pass re-tests
+//!
+//! Accepting one edge can make an earlier rejection addable, so the greedy
+//! repair makes passes until one adds nothing. With a chordal subgraph `H`
+//! maintained, it re-tests a rejected candidate only when an accepted edge
+//! can have changed the answer:
+//!
+//! > A candidate `(u, v)` rejected against a chordal `H` stays rejected in
+//! > every supergraph `H' ⊇ H` with `N_H'(u) ∩ N_H'(v) = N_H(u) ∩ N_H(v)`.
+//!
+//! *Proof.* Rejected means `u` and `v` share a component of `H` and some
+//! `u`–`v` path `P` of `H` avoids `S = N_H(u) ∩ N_H(v)` (a pair in two
+//! components is always accepted). `H'` keeps every edge of `P`, and its
+//! common neighbourhood of `u` and `v` is still `S`, so `P` still avoids
+//! it and the separator test ([`incremental`]) rejects again. ∎
+//!
+//! Edges are only ever added, so `N(u) ∩ N(v)` grows only when an accepted
+//! edge `(a, b)` makes `b` a new common neighbour of `a` and some
+//! `x ∈ N_H(b)`, or `a` a new common neighbour of `b` and some
+//! `y ∈ N_H(a)`. The repair therefore flags exactly the rejected
+//! candidates `(a, x)` and `(b, y)` when it accepts `(a, b)`, and later
+//! passes test only unseen and flagged candidates. The skipped tests are
+//! ones a full rescan would answer "rejected" again, so the outcome — the
+//! edge set, the order of `added`, `examined` — is the full rescan's for
+//! every input.
+//!
+//! The rule needs a chordal `H`, which the scratch strategy does not
+//! assume: on a non-chordal base, accepting a chord can repair a cycle far
+//! from `u` and `v`. The scratch strategy therefore re-tests every rejected
+//! candidate on every pass, and remains the differential oracle.
 //!
 //! # Result metadata
 //!
@@ -42,7 +74,7 @@
 pub mod incremental;
 
 use crate::error::ExtractError;
-use crate::repair::incremental::{IncrementalChordal, RepairMarks, RepairScratch};
+use crate::repair::incremental::{IncrementalChordal, RepairMarks, RepairScratch, Slot};
 use crate::result::ChordalResult;
 use crate::verify::is_chordal;
 use crate::workspace::Workspace;
@@ -128,11 +160,14 @@ pub fn repair_maximality<'a>(
 /// explicit [`RepairStrategy`] and a reusable [`Workspace`].
 ///
 /// Both strategies scan candidates in canonical edge order, repeat greedy
-/// passes until a full pass adds nothing, and bound `limit` by distinct
+/// passes until a pass adds nothing, and bound `limit` by distinct
 /// candidates — so for any chordal input edge set their outputs are
-/// identical edge for edge. A non-chordal input (possible for the
-/// partitioned baseline) makes the incremental separator test inapplicable;
-/// it is detected up front and the scratch strategy is used instead.
+/// identical edge for edge. The incremental strategy's later passes re-test
+/// only the rejections an accepted edge can have unblocked (see the module
+/// docs); the scratch strategy re-tests all of them. A non-chordal input
+/// (possible for the partitioned baseline) makes the incremental separator
+/// test and that rule inapplicable; it is detected up front and the scratch
+/// strategy is used instead.
 pub fn repair_maximality_with<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
@@ -204,7 +239,7 @@ pub(crate) fn repair_with(
                 edges,
                 limit,
                 &mut scratch.marks,
-                |_, with_candidate| is_chordal(&edge_subgraph(graph, with_candidate)),
+                &mut |_, with_candidate: &[Edge]| is_chordal(&edge_subgraph(graph, with_candidate)),
             )
         }
         RepairStrategy::Incremental => {
@@ -222,9 +257,7 @@ pub(crate) fn repair_with(
                 workspace.prepare_repair(graph.total_degree(), Some(graph.num_vertices()));
             let RepairScratch { marks, incr } = scratch;
             let mut maintainer = IncrementalChordal::from_state(graph.num_vertices(), &edges, incr);
-            greedy_repair(graph, edges, limit, marks, |(u, v), _| {
-                maintainer.try_insert(u, v)
-            })
+            greedy_repair(graph, edges, limit, marks, &mut maintainer)
         }
     }
 }
@@ -241,26 +274,73 @@ fn edge_position(graph: GraphRef<'_>, u: VertexId, v: VertexId) -> Option<usize>
     }
 }
 
+/// What [`greedy_repair`] asks of a repair strategy.
+trait RepairOracle {
+    /// Whether `candidate` is addable to the current edge set;
+    /// `with_candidate` is that set with the candidate as its last element.
+    /// An accepted candidate belongs to the current set from then on.
+    fn try_add(&mut self, candidate: Edge, with_candidate: &[Edge]) -> bool;
+
+    /// Neighbours of `v` in the current chordal subgraph, or `None` when
+    /// the strategy does not maintain that subgraph: then nothing tells
+    /// which acceptance can unblock a rejection, and every
+    /// rejected candidate is re-tested on every pass.
+    fn subgraph_neighbors(&self, v: VertexId) -> Option<&[VertexId]>;
+}
+
+/// The scratch strategy: a closure re-verifying the augmented edge set.
+impl<F: FnMut(Edge, &[Edge]) -> bool> RepairOracle for F {
+    fn try_add(&mut self, candidate: Edge, with_candidate: &[Edge]) -> bool {
+        self(candidate, with_candidate)
+    }
+
+    fn subgraph_neighbors(&self, _: VertexId) -> Option<&[VertexId]> {
+        None
+    }
+}
+
+impl RepairOracle for IncrementalChordal<'_> {
+    fn try_add(&mut self, (u, v): Edge, _: &[Edge]) -> bool {
+        self.try_insert(u, v)
+    }
+
+    fn subgraph_neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
+        Some(self.neighbors(v))
+    }
+}
+
 /// The greedy repair driver shared by both strategies: scans rejected edges
-/// in canonical order, asks `try_add` whether each one is addable (the
-/// callback receives the candidate and the current edge set *including* the
-/// candidate as its last element), and repeats until a full pass adds
-/// nothing. Adding one edge can make a previously unaddable edge addable
-/// (it may supply the chord a larger cycle was missing), so the multi-pass
-/// loop is required; each pass adds at least one edge or terminates, so it
-/// is bounded by `|E \ EC|` passes.
+/// in canonical order, asks the oracle whether each one is addable, and
+/// repeats until a pass adds nothing. Adding one edge can make a
+/// previously unaddable edge addable (it may supply the chord a larger
+/// cycle was missing), so the multi-pass loop is required.
+///
+/// When the oracle maintains the chordal subgraph `H`, a pass re-tests a
+/// rejected candidate only if an edge accepted since its last test made it
+/// addable again, by the unblock rule of the module docs: accepting
+/// `(a, b)` flags `(a, x)` for every `x ∈ N_H(b)` and `(b, y)` for every
+/// `y ∈ N_H(a)`, and nothing else. The candidates skipped are exactly ones
+/// the full rescan would have rejected again, so the scan order, every
+/// accept/reject answer, the pass count and the budget accounting are
+/// those of a full rescan. Each pass costs one `O(|E|)` slot scan plus one
+/// test per unseen or flagged candidate, and flagging costs
+/// `O(deg_H a + deg_H b)` slot lookups per accepted edge. Without a
+/// maintained subgraph every rejected candidate is re-tested every pass.
+/// Either way each pass but the last adds an edge, so there are at most
+/// `added + 1` passes.
 fn greedy_repair(
     graph: GraphRef<'_>,
     mut edges: Vec<Edge>,
     limit: Option<usize>,
     marks: &mut RepairMarks,
-    mut try_add: impl FnMut(Edge, &[Edge]) -> bool,
+    oracle: &mut impl RepairOracle,
 ) -> RepairOutcome {
+    let slots = &mut marks.slots;
     for &(u, v) in &edges {
         // Edges of the input set that are not host edges (callers validate
         // separately) simply never collide with a candidate.
         if let Some(pos) = edge_position(graph, u, v) {
-            marks.retained[pos] = true;
+            slots[pos] = Slot::Retained;
         }
     }
     let mut added = Vec::new();
@@ -275,26 +355,34 @@ fn greedy_repair(
                     continue;
                 }
                 let pos = base + i;
-                if marks.retained[pos] {
-                    continue;
-                }
-                if !marks.seen[pos] {
-                    // The budget bounds distinct candidates: unseen
-                    // candidates beyond it are skipped, re-examinations in
-                    // later passes are free.
-                    if limit.is_some_and(|max| examined >= max) {
-                        continue;
+                match slots[pos] {
+                    Slot::Retained | Slot::Rejected => continue,
+                    Slot::Flagged => {}
+                    Slot::Unseen => {
+                        // The budget bounds distinct candidates: unseen
+                        // candidates beyond it are skipped, re-examinations
+                        // in later passes are free.
+                        if limit.is_some_and(|max| examined >= max) {
+                            continue;
+                        }
+                        examined += 1;
                     }
-                    marks.seen[pos] = true;
-                    examined += 1;
                 }
                 edges.push((u, v));
-                if try_add((u, v), &edges) {
-                    marks.retained[pos] = true;
+                if oracle.try_add((u, v), &edges) {
+                    slots[pos] = Slot::Retained;
                     added.push((u, v));
                     changed = true;
+                    flag_unblocked(graph, slots, oracle, u, v);
                 } else {
                     edges.pop();
+                    // Without a maintained subgraph nothing flags this
+                    // candidate later, so it stays due for a re-test.
+                    slots[pos] = if oracle.subgraph_neighbors(u).is_some() {
+                        Slot::Rejected
+                    } else {
+                        Slot::Flagged
+                    };
                 }
             }
         }
@@ -307,6 +395,34 @@ fn greedy_repair(
         edges,
         added,
         examined,
+    }
+}
+
+/// Flags the rejected candidates whose endpoints gained a common neighbour
+/// when `(a, b)` was accepted: `(a, x)` for `x ∈ N_H(b)` and `(b, y)` for
+/// `y ∈ N_H(a)`. A pair that is not a host edge has no slot and nothing to
+/// flag.
+fn flag_unblocked(
+    graph: GraphRef<'_>,
+    slots: &mut [Slot],
+    oracle: &impl RepairOracle,
+    a: VertexId,
+    b: VertexId,
+) {
+    for (end, via) in [(a, b), (b, a)] {
+        let Some(neighbors) = oracle.subgraph_neighbors(via) else {
+            return;
+        };
+        for &x in neighbors {
+            if x == end {
+                continue;
+            }
+            if let Some(pos) = edge_position(graph, end.min(x), end.max(x)) {
+                if slots[pos] == Slot::Rejected {
+                    slots[pos] = Slot::Flagged;
+                }
+            }
+        }
     }
 }
 
@@ -422,6 +538,7 @@ mod tests {
     use crate::{extract_maximal_chordal_serial, reference::extract_reference};
     use chordal_generators::{rmat::RmatKind, rmat::RmatParams, structured};
     use chordal_graph::builder::graph_from_edges;
+    use chordal_graph::CsrGraph;
 
     #[test]
     fn repairs_the_synchronous_figure1_gap() {
@@ -567,6 +684,111 @@ mod tests {
             allocations,
             "second repair of the same graph must not grow the workspace"
         );
+    }
+
+    /// Forwards to an oracle and counts the tests it answers. With
+    /// `full_rescan` it hides the maintained subgraph, so the greedy loop
+    /// re-tests every rejected candidate on every pass.
+    struct Probe<O> {
+        oracle: O,
+        tests: usize,
+        full_rescan: bool,
+    }
+
+    impl<O: RepairOracle> RepairOracle for Probe<O> {
+        fn try_add(&mut self, candidate: Edge, with_candidate: &[Edge]) -> bool {
+            self.tests += 1;
+            self.oracle.try_add(candidate, with_candidate)
+        }
+
+        fn subgraph_neighbors(&self, v: VertexId) -> Option<&[VertexId]> {
+            if self.full_rescan {
+                None
+            } else {
+                self.oracle.subgraph_neighbors(v)
+            }
+        }
+    }
+
+    /// Incremental repair of a chordal `base` through a [`Probe`]; returns
+    /// the outcome and the number of separator tests.
+    fn probed_repair(
+        g: &CsrGraph,
+        base: &[Edge],
+        limit: Option<usize>,
+        full_rescan: bool,
+        ws: &mut Workspace,
+    ) -> (RepairOutcome, usize) {
+        let RepairScratch { marks, incr } =
+            ws.prepare_repair(g.total_degree(), Some(g.num_vertices()));
+        let mut probe = Probe {
+            oracle: IncrementalChordal::from_state(g.num_vertices(), base, incr),
+            tests: 0,
+            full_rescan,
+        };
+        let outcome = greedy_repair(g.view(), base.to_vec(), limit, marks, &mut probe);
+        (outcome, probe.tests)
+    }
+
+    #[test]
+    fn unblock_rule_matches_full_rescans() {
+        use crate::{ExtractionSession, ExtractorConfig};
+        let mut session = ExtractionSession::new(ExtractorConfig::default());
+        let mut ws = Workspace::new();
+        for scale in 8..=11 {
+            for kind in [RmatKind::G, RmatKind::B, RmatKind::Er] {
+                for seed in 0..4 {
+                    let sorted = RmatParams::preset(kind, scale, seed).generate();
+                    let scrambled = sorted.with_scrambled_adjacency(seed);
+                    for g in [&sorted, &scrambled] {
+                        // Asynchronous Alg. 1: the base varies between runs,
+                        // both repairs share it.
+                        let base = session.extract(g);
+                        for limit in [None, Some(0), Some(1), Some(50)] {
+                            let (rule, rule_tests) =
+                                probed_repair(g, base.edges(), limit, false, &mut ws);
+                            let (full, full_tests) =
+                                probed_repair(g, base.edges(), limit, true, &mut ws);
+                            let label = format!(
+                                "{kind:?}({scale}) seed {seed} sorted {} limit {limit:?}",
+                                g.is_sorted()
+                            );
+                            assert_eq!(rule, full, "{label}");
+                            assert!(rule_tests <= full_tests, "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_passes_retest_only_unblocked_candidates() {
+        // A full rescan re-tests every rejected candidate on every later
+        // pass: on seed 0, 70k re-tests for 583 added edges. The unblock
+        // rule re-tests only candidates whose common neighbourhood an
+        // accepted edge grew: about one per added edge here.
+        for seed in 0..4 {
+            let g = RmatParams::preset(RmatKind::B, 12, seed).generate();
+            let base = extract_maximal_chordal_serial(&g);
+            let mut ws = Workspace::new();
+            let expected = repair_maximality_with(
+                &g,
+                base.edges(),
+                None,
+                RepairStrategy::Incremental,
+                &mut ws,
+            );
+            let (outcome, tests) = probed_repair(&g, base.edges(), None, false, &mut ws);
+            assert_eq!(outcome, expected, "seed {seed}");
+            let retests = tests - outcome.examined;
+            assert!(
+                retests <= 4 * outcome.added.len(),
+                "seed {seed}: {retests} re-tests for {} added edges ({} examined)",
+                outcome.added.len(),
+                outcome.examined
+            );
+        }
     }
 
     #[test]

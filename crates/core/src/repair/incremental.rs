@@ -27,7 +27,7 @@
 //!   edge, i.e. it is `uv` plus an induced `u`–`v` path `P` of `G`. The
 //!   cycle has length ≥ 4 exactly when `P` has length ≥ 3.
 //! * An internal vertex `w` of an induced path that is adjacent to both
-//!   endpooints forces the path to be `u, w, v`. So if every `u`–`v` path
+//!   endpoints forces the path to be `u, w, v`. So if every `u`–`v` path
 //!   meets `N(u) ∩ N(v)`, every *induced* `u`–`v` path has length 2 and no
 //!   chordless cycle can appear. Conversely, if some `u`–`v` path avoids
 //!   `N(u) ∩ N(v)`, the induced `u`–`v` path inside its vertex set has
@@ -66,32 +66,43 @@ impl RepairScratch {
     }
 }
 
-/// Per-candidate bookkeeping of the greedy repair driver: one byte per
-/// directed CSR slot of the host graph, indexed by the slot position of the
-/// canonical `(u, v)` orientation (`u < v`).
+/// Where one candidate slot stands in the greedy repair.
+#[repr(u8)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// Never tested; testing it counts against the repair budget (which
+    /// bounds *distinct* candidates).
+    Unseen,
+    /// Rejected, and no edge accepted since has grown the common
+    /// neighbourhood of its endpoints: a re-test would reject it again.
+    Rejected,
+    /// Rejected before, but due for a re-test.
+    Flagged,
+    /// In the current subgraph.
+    Retained,
+}
+
+/// Per-candidate bookkeeping of the greedy repair: one [`Slot`] byte
+/// per directed CSR slot of the host graph, indexed by the slot position of
+/// the canonical `(u, v)` orientation (`u < v`).
 #[derive(Debug, Default)]
 pub(crate) struct RepairMarks {
-    /// Whether the edge at this slot is currently retained.
-    pub(crate) retained: Vec<bool>,
-    /// Whether the candidate at this slot has been examined at least once
-    /// (the repair budget counts *distinct* candidates).
-    pub(crate) seen: Vec<bool>,
+    pub(crate) slots: Vec<Slot>,
 }
 
 impl RepairMarks {
-    /// Sizes and clears the marks for a host graph with `directed_edges`
-    /// directed CSR slots. Returns whether a buffer had to grow.
+    /// Sizes the marks for a host graph with `directed_edges` directed CSR
+    /// slots and resets every slot to [`Slot::Unseen`]. Returns whether the
+    /// buffer had to grow.
     pub(crate) fn prepare(&mut self, directed_edges: usize) -> bool {
-        let grew = self.retained.capacity() < directed_edges;
-        self.retained.clear();
-        self.retained.resize(directed_edges, false);
-        self.seen.clear();
-        self.seen.resize(directed_edges, false);
+        let grew = self.slots.capacity() < directed_edges;
+        self.slots.clear();
+        self.slots.resize(directed_edges, Slot::Unseen);
         grew
     }
 
     pub(crate) fn allocated_bytes(&self) -> usize {
-        self.retained.capacity() + self.seen.capacity()
+        self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -194,6 +205,11 @@ impl<'ws> IncrementalChordal<'ws> {
     /// Number of edges currently in the maintained subgraph.
     pub fn num_edges(&self) -> usize {
         self.num_edges
+    }
+
+    /// Neighbours of `v` in the maintained subgraph, in insertion order.
+    pub(crate) fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        &self.state.adj[v as usize]
     }
 
     /// Whether adding `(u, v)` keeps the maintained subgraph chordal.

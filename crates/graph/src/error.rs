@@ -43,6 +43,28 @@ pub enum GraphError {
         /// (the entry at `position` is smaller than the one before it).
         position: usize,
     },
+    /// A binary graph file whose neighbor list of `vertex` names `vertex`
+    /// itself. Every extractor assumes a simple graph.
+    SelfLoop {
+        /// The vertex listed as its own neighbor.
+        vertex: u64,
+    },
+    /// A binary graph file whose neighbor list of `vertex` names
+    /// `neighbor` more than once.
+    DuplicateNeighbor {
+        /// The vertex whose list repeats an entry.
+        vertex: u64,
+        /// The repeated neighbor id.
+        neighbor: u64,
+    },
+    /// A sorted binary graph file in which `vertex` lists `neighbor` but
+    /// `neighbor`'s list does not list `vertex` back.
+    AsymmetricAdjacency {
+        /// The vertex whose list names `neighbor`.
+        vertex: u64,
+        /// The neighbor that does not name `vertex` back.
+        neighbor: u64,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -72,6 +94,17 @@ impl fmt::Display for GraphError {
                 f,
                 "header claims sorted adjacency but vertex {vertex}'s neighbor list is out \
                  of order at position {position}"
+            ),
+            GraphError::SelfLoop { vertex } => {
+                write!(f, "vertex {vertex} lists itself as a neighbor")
+            }
+            GraphError::DuplicateNeighbor { vertex, neighbor } => write!(
+                f,
+                "vertex {vertex} lists neighbor {neighbor} more than once"
+            ),
+            GraphError::AsymmetricAdjacency { vertex, neighbor } => write!(
+                f,
+                "vertex {vertex} lists neighbor {neighbor}, but {neighbor} does not list {vertex}"
             ),
         }
     }
@@ -125,6 +158,21 @@ mod tests {
         };
         assert!(e.to_string().contains("vertex 7"), "{e}");
         assert!(e.to_string().contains("position 2"), "{e}");
+
+        let e = GraphError::SelfLoop { vertex: 4 };
+        assert!(e.to_string().contains("vertex 4 lists itself"), "{e}");
+
+        let e = GraphError::DuplicateNeighbor {
+            vertex: 3,
+            neighbor: 9,
+        };
+        assert!(e.to_string().contains("neighbor 9 more than once"), "{e}");
+
+        let e = GraphError::AsymmetricAdjacency {
+            vertex: 1,
+            neighbor: 6,
+        };
+        assert!(e.to_string().contains("6 does not list 1"), "{e}");
     }
 
     #[test]

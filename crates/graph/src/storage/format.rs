@@ -86,8 +86,9 @@
 //! verified on load — that would fault in every page and defeat lazy
 //! mapping — but is available via
 //! [`MmapCsrGraph::verify_checksum`](super::MmapCsrGraph::verify_checksum),
-//! which also validates the [`FLAG_SORTED`] claim against the actual
-//! neighbor order.
+//! which also rejects out-of-range ids, self-loops and duplicate
+//! neighbors, and validates the [`FLAG_SORTED`] claim against the actual
+//! neighbor order (plus symmetry, for sorted files).
 //!
 //! The in-memory layout this format feeds is documented in
 //! `docs/layout.md` at the repository root.
@@ -508,15 +509,22 @@ fn content_hash_parts(num_vertices: u64, num_directed_edges: u64, checksum: u64)
 /// bytes [`write_binary`] emits, whatever width or byte order the graph is
 /// held in.
 pub(crate) fn checksum_sections(graph: GraphRef<'_>) -> u64 {
+    let mut hasher = hash_offsets(graph);
+    for &w in graph.adjacency() {
+        hasher.update(&w.to_le_bytes());
+    }
+    hasher.finish()
+}
+
+/// The [`checksum_sections`] hasher after the offsets payload, ready for
+/// the adjacency ids.
+pub(crate) fn hash_offsets(graph: GraphRef<'_>) -> Fnv1a {
     let mut hasher = Fnv1a::new();
     let Ok(()) = encode_offsets(graph, |bytes| {
         hasher.update(bytes);
         Ok::<(), std::convert::Infallible>(())
     });
-    for &w in graph.adjacency() {
-        hasher.update(&w.to_le_bytes());
-    }
-    hasher.finish()
+    hasher
 }
 
 /// Feeds `sink` each offset of `graph`, little-endian at the width

@@ -22,8 +22,8 @@
 
 use super::format::{Header, SectionLayout};
 use crate::graphref::Derived;
-use crate::layout::{OffsetBuf, Offsets, OffsetsWidth};
-use crate::{CsrGraph, GraphError, GraphRef};
+use crate::layout::{narrow_index, OffsetBuf, Offsets, OffsetsWidth};
+use crate::{CsrGraph, GraphError, GraphRef, VertexId};
 use memmap2::Mmap;
 use std::fs::File;
 use std::path::Path;
@@ -277,60 +277,147 @@ impl MmapCsrGraph {
         self.view().to_csr_graph()
     }
 
-    /// Validates the data sections in one walk:
+    /// Validates the data sections in one walk over the neighbor lists, in
+    /// increasing vertex order:
     ///
     /// * recomputes the FNV-1a checksum over the offsets and adjacency
-    ///   sections and compares it against the header;
-    /// * rejects any neighbor id `>= num_vertices` with
-    ///   [`GraphError::VertexOutOfRange`] — a checksum only proves the bytes
-    ///   are the ones the writer hashed, and an out-of-range id would index
-    ///   past every per-vertex array downstream;
-    /// * if the header claims sorted adjacency
-    ///   ([`FLAG_SORTED`](super::format::FLAG_SORTED)), checks that every
-    ///   neighbor list really is sorted ascending, rejecting a lying flag
-    ///   with [`GraphError::SortedFlagViolation`].
+    ///   sections and compares it against the header; a mismatch is
+    ///   reported before any other fault;
+    /// * rejects what the checksum cannot: a checksum only proves the bytes
+    ///   are the ones the writer hashed. Every extractor assumes a simple
+    ///   undirected graph with in-range ids, so the walk rejects
+    ///   * any neighbor id `>= num_vertices` with
+    ///     [`GraphError::VertexOutOfRange`] (it would index past every
+    ///     per-vertex array downstream);
+    ///   * `v ∈ N(v)` with [`GraphError::SelfLoop`];
+    ///   * a neighbor listed twice with [`GraphError::DuplicateNeighbor`];
+    ///   * if the header claims sorted adjacency
+    ///     ([`FLAG_SORTED`](super::format::FLAG_SORTED)), a list that is
+    ///     not ascending with [`GraphError::SortedFlagViolation`] (a wrong
+    ///     claim silently breaks every binary-search lookup), and a `u`
+    ///     listing `v` without `v` listing `u` with
+    ///     [`GraphError::AsymmetricAdjacency`].
     ///
-    /// The id and order checks piggyback on the checksum walk: the
-    /// adjacency pages are already resident, so they add no extra I/O.
-    /// `O(file size)`; faults in every page.
+    /// Symmetry is checked for sorted files only. Lists are visited in
+    /// increasing `u`, so in a symmetric sorted file, whenever `u` lists a
+    /// `v < u`, `u` is the next entry above `v` in `N(v)` not yet named
+    /// back: one cursor per vertex checks it in `O(V + E)`, and a final
+    /// pass checks that every cursor reached the end of its list. Each
+    /// check reads a list the walk has just passed, which is still in
+    /// cache. An unsorted file would need a search or a sort per entry, so
+    /// its symmetry stays unchecked.
+    ///
+    /// `O(file size)`; faults in every page. The walk allocates one `u32`
+    /// per vertex.
     pub fn verify_checksum(&self) -> Result<(), GraphError> {
         let view = self.view();
-        let computed = super::format::checksum_sections(view);
+        let mut hasher = super::format::hash_offsets(view);
+        let walked = check_adjacency(view, &mut hasher);
+        // The walk stops at the first fault, so then hash the rest afresh.
+        let computed = match walked {
+            Ok(()) => hasher.finish(),
+            Err(_) => super::format::checksum_sections(view),
+        };
         if computed != self.header.checksum {
             return Err(GraphError::Format(format!(
                 "checksum mismatch: header says {:#018x}, data hashes to {computed:#018x}",
                 self.header.checksum
             )));
         }
-        let n = view.num_vertices();
-        if let Some(&bad) = view.adjacency().iter().find(|&&w| w as usize >= n) {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: bad as u64,
-                num_vertices: n as u64,
-            });
+        walked
+    }
+}
+
+/// The adjacency walk of [`MmapCsrGraph::verify_checksum`]: feeds each id
+/// to `hasher`, then checks it, and returns the first fault it meets.
+fn check_adjacency(
+    view: GraphRef<'_>,
+    hasher: &mut super::format::Fnv1a,
+) -> Result<(), GraphError> {
+    let n = view.num_vertices();
+    let sorted = view.is_sorted();
+    let asymmetric = |vertex: VertexId, neighbor: VertexId| GraphError::AsymmetricAdjacency {
+        vertex: vertex as u64,
+        neighbor: neighbor as u64,
+    };
+    // Sorted: each list's cursor, on its first entry above its own vertex
+    // not yet matched from the other side. Unsorted: one more than the
+    // last vertex whose list named this id.
+    let mut seen = vec![0u32; n];
+    for u in 0..n as VertexId {
+        let list = view.neighbors(u);
+        if sorted {
+            // At most `u` distinct ids lie below `u`; a longer prefix has a
+            // duplicate, which this list's own walk rejects before any
+            // cursor is read.
+            seen[u as usize] = narrow_index(list.partition_point(|&w| w < u));
         }
-        // A wrong sorted claim silently breaks every binary-search lookup,
-        // so the verification pass checks it while the pages are warm.
-        if view.is_sorted() {
-            if let Some((vertex, position)) = view.first_unsorted() {
-                return Err(GraphError::SortedFlagViolation {
-                    vertex: vertex as u64,
-                    position,
+        for (i, &w) in list.iter().enumerate() {
+            hasher.update(&w.to_le_bytes());
+            if w as usize >= n {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex: w as u64,
+                    num_vertices: n as u64,
                 });
             }
+            if w == u {
+                return Err(GraphError::SelfLoop { vertex: u as u64 });
+            }
+            let duplicate = GraphError::DuplicateNeighbor {
+                vertex: u as u64,
+                neighbor: w as u64,
+            };
+            let seen = &mut seen[w as usize];
+            if !sorted {
+                // `num_vertices < u32::MAX` (format invariant), so `u + 1`
+                // cannot overflow.
+                if *seen == u + 1 {
+                    return Err(duplicate);
+                }
+                *seen = u + 1;
+                continue;
+            }
+            if i > 0 && w <= list[i - 1] {
+                return Err(if w == list[i - 1] {
+                    duplicate
+                } else {
+                    GraphError::SortedFlagViolation {
+                        vertex: u as u64,
+                        position: i,
+                    }
+                });
+            }
+            if w > u {
+                continue;
+            }
+            // `w`'s list is finished and every vertex below `u` has
+            // matched its entry there, so the cursor must sit on `u`.
+            match view.neighbors(w).get(*seen as usize) {
+                Some(&x) if x == u => *seen += 1,
+                // `x`'s list is finished too, without naming `w`.
+                Some(&x) if x < u => return Err(asymmetric(w, x)),
+                _ => return Err(asymmetric(u, w)),
+            }
         }
-        Ok(())
     }
+    if sorted {
+        // An entry still under a cursor was never named back.
+        for w in 0..n as VertexId {
+            if let Some(&x) = view.neighbors(w).get(seen[w as usize] as usize) {
+                return Err(asymmetric(w, x));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::format::{
-        content_hash, write_binary, write_binary_file, FORMAT_VERSION_V1, HEADER_LEN,
+        content_hash, write_binary, write_binary_file, Fnv1a, FORMAT_VERSION_V1, HEADER_LEN,
         SECTION_ADJACENCY, SECTION_ENTRY_LEN, SECTION_OFFSETS,
     };
     use super::*;
-    use crate::VertexId;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("chordal_mmap_{}_{name}.bin", std::process::id()))
@@ -514,5 +601,119 @@ mod tests {
             "{err:?}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Writes `g`, lets `edit` rewrite its flat adjacency array, and
+    /// re-stamps the checksum, so only the adjacency walk can object.
+    fn doctored(
+        g: &CsrGraph,
+        name: &str,
+        edit: impl FnOnce(&mut [VertexId]),
+    ) -> std::path::PathBuf {
+        let mut bytes = Vec::new();
+        write_binary(g, &mut bytes).unwrap();
+        let header = Header::parse(&bytes).unwrap();
+        let layout = SectionLayout::locate(&header, &bytes).unwrap();
+        let adjacency = layout.adjacency_pos..layout.adjacency_pos + header.adjacency_len();
+        let mut ids: Vec<VertexId> = bytes[adjacency.clone()]
+            .chunks_exact(4)
+            .map(|c| VertexId::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        edit(&mut ids);
+        let encoded: Vec<u8> = ids.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes[adjacency.clone()].copy_from_slice(&encoded);
+        let mut hasher = Fnv1a::new();
+        hasher.update(&bytes[layout.offsets_pos..layout.offsets_pos + header.offsets_len()]);
+        hasher.update(&bytes[adjacency]);
+        bytes[40..48].copy_from_slice(&hasher.finish().to_le_bytes());
+        let path = temp_path(name);
+        std::fs::write(&path, &bytes).unwrap();
+        path
+    }
+
+    fn verify(path: &std::path::Path) -> Result<(), GraphError> {
+        let result = MmapCsrGraph::open(path).unwrap().verify_checksum();
+        let _ = std::fs::remove_file(path);
+        result
+    }
+
+    #[test]
+    fn verify_checksum_rejects_self_loops_duplicates_and_asymmetry() {
+        // Sorted sample adjacency, flat: N(0)=[1,2,5] at 0..3, N(1)=[0,2] at
+        // 3..5, N(2)=[0,1,3] at 5..8, N(3)=[2,4] at 8..10, N(4)=[3] at 10,
+        // N(5)=[0] at 11.
+        let g = sample();
+        assert!(g.is_sorted());
+        // N(4)=[4]: the walk meets the self-loop before it could miss 3's
+        // entry 4.
+        let err = verify(&doctored(&g, "self_loop", |adj| adj[10] = 4)).unwrap_err();
+        assert!(matches!(err, GraphError::SelfLoop { vertex: 4 }), "{err:?}");
+        let err = verify(&doctored(&g, "duplicate", |adj| adj[2] = 2)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphError::DuplicateNeighbor {
+                    vertex: 0,
+                    neighbor: 2
+                }
+            ),
+            "{err:?}"
+        );
+        // Each asymmetric copy stays sorted and simple. The walk checks an
+        // entry `w < u` of `N(u)` against `w`'s cursor, then every cursor
+        // left on an entry at the end.
+        for (name, edit, vertex, neighbor) in [
+            // N(5)=[1]: 1's list is used up before 5 comes.
+            ("asym_missing", &[(11, 1)][..], 5, 1),
+            // N(2)=[1,3,4]: 0's cursor still sits on 2 when 5 comes.
+            ("asym_skipped", &[(5, 1), (6, 3), (7, 4)][..], 0, 2),
+            // N(4)=[5]: nobody after 4 names 3, whose cursor stays on 4.
+            ("asym_unmatched", &[(10, 5)][..], 3, 4),
+        ] {
+            let path = doctored(&g, name, |adj| {
+                for &(slot, id) in edit {
+                    adj[slot] = id;
+                }
+            });
+            let err = verify(&path).unwrap_err();
+            assert!(
+                matches!(err, GraphError::AsymmetricAdjacency { vertex: v, neighbor: x }
+                    if v == vertex && x == neighbor),
+                "{name}: {err:?}"
+            );
+        }
+        // N(1)=[2,0] under a sorted flag.
+        let err = verify(&doctored(&g, "late_unsorted", |adj| adj[3..5].swap(0, 1))).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphError::SortedFlagViolation {
+                    vertex: 1,
+                    position: 1
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn unsorted_files_are_checked_for_everything_but_symmetry() {
+        let g = sample().with_scrambled_adjacency(5);
+        assert!(!g.is_sorted());
+        let first = g.neighbors(0)[0];
+        let err = verify(&doctored(&g, "unsorted_self_loop", |adj| adj[0] = 0)).unwrap_err();
+        assert!(matches!(err, GraphError::SelfLoop { vertex: 0 }), "{err:?}");
+        let err = verify(&doctored(&g, "unsorted_duplicate", |adj| adj[1] = adj[0])).unwrap_err();
+        assert!(
+            matches!(err, GraphError::DuplicateNeighbor { vertex: 0, neighbor } if neighbor == first as u64),
+            "{err:?}"
+        );
+        // 5 lists 1 instead of 0: symmetry is not checked without the sorted
+        // flag, so the file verifies.
+        let last = g.num_directed_edges() - 1;
+        assert_eq!(g.neighbors(5), &[0]);
+        verify(&doctored(&g, "unsorted_asymmetric", |adj| adj[last] = 1)).unwrap();
+        // The untouched file verifies too.
+        verify(&doctored(&g, "unsorted_intact", |_| {})).unwrap();
     }
 }

@@ -216,33 +216,74 @@ fn loader_rejects_corrupt_truncated_and_wrong_version_files() {
     }
     let _ = std::fs::remove_file(&corrupt);
 
-    // One neighbor id equal to num_vertices, behind a *valid* recomputed
-    // checksum: the last adjacency entry is its list's maximum, so the list
-    // stays sorted and only the id-range check can reject it.
-    let out_of_range = dir.join(format!("chordal_roundtrip_{pid}_out_of_range.bin"));
-    let mut copy = bytes.clone();
+    // Hostile adjacency behind a *valid* recomputed checksum: only the
+    // adjacency walk of `verify_checksum` can reject these. The converted
+    // file is sorted, so its flat adjacency is the heap graph's.
+    let view = GraphRef::from(graph);
+    let n = view.num_vertices() as u32;
+    let first = view.neighbors(0);
+    assert!(first.len() >= 2 && first[0] > 0);
+    // A slot whose id can move up by one and stay sorted, simple and off
+    // its own vertex: the moved-to id does not list the vertex back.
+    let gap = (0..n)
+        .find_map(|u| {
+            let list = view.neighbors(u);
+            (0..list.len())
+                .find(|&i| {
+                    let up = list[i] + 1;
+                    up != u && up < list.get(i + 1).copied().unwrap_or(n)
+                })
+                .map(|i| view.adjacency_start(u as usize) + i)
+        })
+        .expect("a sorted list with a gap");
+    let adjacency = view.adjacency();
+    // (name, adjacency slot, id written there)
+    let crafted = [
+        // One neighbor id equal to num_vertices: the last adjacency entry
+        // is its list's maximum, so the list stays sorted.
+        ("out_of_range", adjacency.len() - 1, n),
+        // Vertex 0 lists itself first.
+        ("self_loop", 0, 0),
+        // Vertex 0 lists its first neighbor twice.
+        ("duplicate", 1, first[0]),
+        ("asymmetric", gap, adjacency[gap] + 1),
+    ];
+    for (name, slot, id) in crafted {
+        let path = dir.join(format!("chordal_roundtrip_{pid}_{name}.bin"));
+        std::fs::write(&path, restamped(&bytes, slot, id)).unwrap();
+        let mapped = MmapCsrGraph::open(&path).expect("structurally valid");
+        let err = mapped.verify_checksum().unwrap_err();
+        let expected = match name {
+            "out_of_range" => matches!(err, GraphError::VertexOutOfRange { vertex, num_vertices }
+                if vertex == n as u64 && num_vertices == n as u64),
+            "self_loop" => matches!(err, GraphError::SelfLoop { vertex: 0 }),
+            "duplicate" => matches!(err, GraphError::DuplicateNeighbor { vertex: 0, neighbor }
+                if neighbor == first[0] as u64),
+            _ => matches!(err, GraphError::AsymmetricAdjacency { .. }),
+        };
+        assert!(expected, "{name}: {err:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A copy of binary graph file `bytes` with adjacency entry `slot` set to
+/// `id` and the FNV-1a checksum recomputed over the edited sections.
+fn restamped(bytes: &[u8], slot: usize, id: u32) -> Vec<u8> {
+    let mut copy = bytes.to_vec();
     let header = Header::parse(&copy).unwrap();
     let layout = SectionLayout::locate(&header, &copy).unwrap();
-    let adjacency_end = layout.adjacency_pos + header.adjacency_len();
-    let n = header.num_vertices as u32;
-    copy[adjacency_end - 4..adjacency_end].copy_from_slice(&n.to_le_bytes());
+    let adjacency = layout.adjacency_pos..layout.adjacency_pos + header.adjacency_len();
+    let at = adjacency.start + 4 * slot;
+    copy[at..at + 4].copy_from_slice(&id.to_le_bytes());
     let mut checksum: u64 = 0xcbf2_9ce4_8422_2325;
     for section in [
         layout.offsets_pos..layout.offsets_pos + header.offsets_len(),
-        layout.adjacency_pos..adjacency_end,
+        adjacency,
     ] {
         for &b in &copy[section] {
             checksum = (checksum ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     copy[40..48].copy_from_slice(&checksum.to_le_bytes());
-    std::fs::write(&out_of_range, &copy).unwrap();
-    let mapped = MmapCsrGraph::open(&out_of_range).expect("structurally valid");
-    let err = mapped.verify_checksum().unwrap_err();
-    assert!(
-        matches!(err, GraphError::VertexOutOfRange { vertex, num_vertices }
-            if vertex == n as u64 && num_vertices == n as u64),
-        "{err:?}"
-    );
-    let _ = std::fs::remove_file(&out_of_range);
+    copy
 }
